@@ -34,7 +34,6 @@ from .explanation import (
 )
 from .lexicons import Lexicons, load_lexicons
 from .registry import (
-    AppraisalItem,
     Dimension,
     DimensionInfo,
     Registry,
@@ -63,7 +62,6 @@ from .scoring import (
 )
 
 __all__ = [
-    "AppraisalItem",
     "AppraisalVector",
     "Candidate",
     "ComparisonReport",

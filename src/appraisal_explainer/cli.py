@@ -12,21 +12,14 @@ import json
 import sys
 from pathlib import Path
 
-from .config import (
-    FORMAT_JSON,
-    RunConfig,
-    load_candidates,
-    load_config_file,
-    load_profile,
-    validate_config,
-)
+from .config import FORMAT_JSON, RunConfig, load_candidates, load_profile, resolve_config
 from .context import Query
 from .errors import EngineError, InputError
-from .fixtures import FIXTURE_NAMES, load_fixture
-from .pipeline import EngineData, load_engine_data, run_pipeline, salience_stage
+from .fixtures import load_fixture
+from .pipeline import PipelineResult, load_engine_data, run_pipeline, salience_stage
 from .registry import Dimension
 from .runlog import RunLog
-from .schemas import SCHEMAS
+from .schemas import SCHEMAS, load_document
 from .serialize import (
     comparison_to_dict,
     plan_to_dict,
@@ -38,7 +31,7 @@ from .serialize import (
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a run-configuration JSON file")
-    common.add_argument("--registry", help="registry JSON overriding/extending the bundled catalog")
+    common.add_argument("--registry", help="registry JSON overriding dimension display names and canonical statements")
     common.add_argument("--lexicons", help="lexicons JSON overriding the bundled word lists")
     common.add_argument("--prompts", help="prompt-template JSON overriding the bundled templates")
     common.add_argument("--profile", help="user profile JSON path")
@@ -86,35 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config_file(args.config) if args.config else RunConfig()
-    if args.registry:
-        cfg.registry_path = args.registry
-    if args.lexicons:
-        cfg.lexicons_path = args.lexicons
-    if args.prompts:
-        cfg.prompts_path = args.prompts
-    if args.profile:
-        cfg.profile_path = args.profile
-    if args.candidates:
-        cfg.candidates_path = args.candidates
-    if args.scorer:
-        cfg.scorer = args.scorer
-    if args.realizer:
-        cfg.realizer = args.realizer
-    if args.top_k is not None:
-        cfg.top_k = args.top_k
-    if args.threshold is not None:
-        cfg.threshold = args.threshold
-    if args.fallback is not None:
-        cfg.fallback = args.fallback
-    if args.filter_normative is not None:
-        cfg.filter_normative = args.filter_normative
-    if args.format:
-        cfg.output_format = args.format
-    if args.out:
-        cfg.out_dir = args.out
-    validate_config(cfg)
-    return cfg
+    doc = load_document(args.config, "config") if args.config else {}
+    return resolve_config(doc, vars(args), out_dir=args.out)
 
 
 def _require(value, flag: str):
@@ -127,16 +93,33 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, ensure_ascii=False))
 
 
-def _out_dir(cfg: RunConfig) -> Path | None:
-    if cfg.out_dir is None:
+def _out_dir(cfg: RunConfig, default: Path | None = None) -> Path | None:
+    """The artifact directory, created: ``--out``, else ``default``, else None."""
+    path = cfg.out_dir or default
+    if path is None:
         return None
-    path = Path(cfg.out_dir)
+    path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", "utf-8")
+
+
+def write_artifacts(out: Path, result: PipelineResult, runlog: RunLog) -> None:
+    """Write each result part the pipeline produced, then the run log, into ``out``."""
+    _write_json(out / "salience.json", salience_to_dict(result.salience))
+    _write_json(out / "ranking.json", ranking_to_dict(result.ranked))
+    if result.plan is not None:
+        _write_json(out / "plan.json", plan_to_dict(result.plan))
+    if result.explanation is not None:
+        (out / "explanation.txt").write_text(result.explanation + "\n", "utf-8")
+    if result.baseline is not None:
+        (out / "baseline.txt").write_text(result.baseline + "\n", "utf-8")
+    if result.comparison is not None:
+        _write_json(out / "comparison.json", comparison_to_dict(result.comparison))
+    runlog.write(out / "runlog.jsonl")
 
 
 def _render_salience_text(payload: dict) -> str:
@@ -186,29 +169,33 @@ def cmd_salience(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     if out is not None:
         _write_json(out / "salience.json", payload)
-    if cfg.output_format == FORMAT_JSON:
+    if cfg.format == FORMAT_JSON:
         _print_json(payload)
     else:
         print(_render_salience_text(payload))
     return 0
 
 
-def cmd_rank(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _run_inputs(args: argparse.Namespace, cfg: RunConfig, **wants) -> tuple[PipelineResult, RunLog]:
+    """Run the pipeline on the profile, query and candidates the flags name."""
     profile = load_profile(_require(cfg.profile_path, "--profile"))
     query = Query(text=_require(args.query, "--query"))
     candidates = load_candidates(_require(cfg.candidates_path, "--candidates"))
-    data = load_engine_data(cfg)
     runlog = RunLog()
-    result = run_pipeline(
-        profile, query, candidates, data, cfg, runlog,
-        want_appraisal=False, want_baseline=False, want_compare=False,
+    result = run_pipeline(profile, query, candidates, load_engine_data(cfg), cfg, runlog, **wants)
+    return result, runlog
+
+
+def cmd_rank(args: argparse.Namespace, cfg: RunConfig) -> int:
+    result, _ = _run_inputs(
+        args, cfg, want_appraisal=False, want_baseline=False, want_compare=False
     )
     payload = ranking_to_dict(result.ranked)
     out = _out_dir(cfg)
     if out is not None:
         _write_json(out / "salience.json", salience_to_dict(result.salience))
         _write_json(out / "ranking.json", payload)
-    if cfg.output_format == FORMAT_JSON:
+    if cfg.format == FORMAT_JSON:
         _print_json(payload)
     else:
         print(_render_ranking_text(payload))
@@ -216,39 +203,24 @@ def cmd_rank(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_explain(args: argparse.Namespace, cfg: RunConfig) -> int:
-    profile = load_profile(_require(cfg.profile_path, "--profile"))
-    query = Query(text=_require(args.query, "--query"))
-    candidates = load_candidates(_require(cfg.candidates_path, "--candidates"))
-    data = load_engine_data(cfg)
-    runlog = RunLog()
     want_compare = bool(args.compare)
     baseline_only = bool(args.baseline) and not want_compare
-    result = run_pipeline(
-        profile, query, candidates, data, cfg, runlog,
+    result, runlog = _run_inputs(
+        args, cfg,
         want_appraisal=not baseline_only,
         want_baseline=bool(args.baseline) or want_compare,
         want_compare=want_compare,
     )
     out = _out_dir(cfg)
     if out is not None:
-        _write_json(out / "salience.json", salience_to_dict(result.salience))
-        _write_json(out / "ranking.json", ranking_to_dict(result.ranked))
-        if result.plan is not None:
-            _write_json(out / "plan.json", plan_to_dict(result.plan))
-        if result.explanation is not None:
-            (out / "explanation.txt").write_text(result.explanation + "\n", "utf-8")
-        if result.baseline is not None:
-            (out / "baseline.txt").write_text(result.baseline + "\n", "utf-8")
-        if result.comparison is not None:
-            _write_json(out / "comparison.json", comparison_to_dict(result.comparison))
-        runlog.write(out / "runlog.jsonl")
+        write_artifacts(out, result, runlog)
     if want_compare:
         payload = {
             "appraisal": result.explanation,
             "baseline": result.baseline,
             "comparison": comparison_to_dict(result.comparison),
         }
-        if cfg.output_format == FORMAT_JSON:
+        if cfg.format == FORMAT_JSON:
             _print_json(payload)
         else:
             print("=== appraisal explanation ===")
@@ -260,7 +232,7 @@ def cmd_explain(args: argparse.Namespace, cfg: RunConfig) -> int:
         return 0
     text = result.baseline if baseline_only else result.explanation
     mode = "baseline" if baseline_only else "appraisal"
-    if cfg.output_format == FORMAT_JSON:
+    if cfg.format == FORMAT_JSON:
         _print_json({"mode": mode, "explanation": text})
     else:
         print(text)
@@ -268,34 +240,15 @@ def cmd_explain(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if not args.name or args.name not in FIXTURE_NAMES:
-        print(
-            f"unknown fixture {args.name!r}; available: {', '.join(FIXTURE_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
     fixture = load_fixture(args.name)
     data = load_engine_data(cfg)
     runlog = RunLog()
     result = run_pipeline(
-        fixture.profile,
-        fixture.query,
-        list(fixture.candidates),
-        data,
-        cfg,
-        runlog,
-        want_appraisal=True,
-        want_baseline=True,
-        want_compare=False,
+        fixture.profile, fixture.query, list(fixture.candidates), data, cfg, runlog,
+        want_appraisal=True, want_baseline=True, want_compare=False,
     )
-    out = Path(cfg.out_dir) if cfg.out_dir else Path("appraisal-runs") / fixture.name
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "salience.json", salience_to_dict(result.salience))
-    _write_json(out / "ranking.json", ranking_to_dict(result.ranked))
-    _write_json(out / "plan.json", plan_to_dict(result.plan))
-    (out / "explanation.txt").write_text(result.explanation + "\n", "utf-8")
-    (out / "baseline.txt").write_text(result.baseline + "\n", "utf-8")
-    runlog.write(out / "runlog.jsonl")
+    out = _out_dir(cfg, Path("appraisal-runs") / fixture.name)
+    write_artifacts(out, result, runlog)
     computed = frozenset(result.salience.dominant)
     passed = computed == fixture.expected_dominant
     print(f"scenario {fixture.name}: {'PASS' if passed else 'FAIL'}")
@@ -334,10 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         return COMMANDS[args.command](args, cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineError as exc:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import jsonschema
@@ -11,11 +11,16 @@ import jsonschema
 from .context import UserProfile
 from .errors import ConfigError
 from .salience import LexicalWeights
-from .schemas import CANDIDATES_SCHEMA, CONFIG_SCHEMA, PROFILE_SCHEMA
+from .schemas import CANDIDATES_SCHEMA, CONFIG_SCHEMA, PROFILE_SCHEMA, validate
 from .scoring import Candidate, ScoringConstants
 
 FORMAT_JSON = "json"
 FORMAT_TEXT = "text"
+
+# Keys of a config document, under "paths" and at the top level; the CLI
+# flags that override them have the same names.
+PATH_KEYS = ("registry", "lexicons", "profile", "candidates", "prompts")
+SETTING_KEYS = ("scorer", "realizer", "top_k", "threshold", "fallback", "filter_normative", "format")
 
 
 @dataclass
@@ -33,7 +38,7 @@ class RunConfig:
     threshold: float | None = None
     fallback: bool = False
     filter_normative: bool = True
-    output_format: str = FORMAT_TEXT
+    format: str = FORMAT_TEXT
     out_dir: str | None = None
     scoring: ScoringConstants = field(default_factory=ScoringConstants)
     salience: LexicalWeights = field(default_factory=LexicalWeights)
@@ -61,71 +66,27 @@ def load_candidates(path: str | Path) -> list[Candidate]:
     return [Candidate.from_dict(record) for record in doc]
 
 
-def load_config_file(path: str | Path) -> RunConfig:
-    """Build a RunConfig from a config document, validated against the schema."""
-    doc = _validated_json(path, CONFIG_SCHEMA, "config")
-    return _config_from_doc(doc)
+def resolve_config(doc, flags: dict, out_dir: str | None = None) -> RunConfig:
+    """Write ``flags`` over a config document, validate the result once, build it.
 
-
-def _config_from_doc(doc: dict) -> RunConfig:
-    cfg = RunConfig()
-    paths = doc.get("paths", {})
-    cfg.registry_path = paths.get("registry")
-    cfg.lexicons_path = paths.get("lexicons")
-    cfg.profile_path = paths.get("profile")
-    cfg.candidates_path = paths.get("candidates")
-    cfg.prompts_path = paths.get("prompts")
-    cfg.scorer = doc.get("scorer", cfg.scorer)
-    cfg.realizer = doc.get("realizer", cfg.realizer)
-    cfg.top_k = doc.get("top_k", cfg.top_k)
-    cfg.threshold = doc.get("threshold", cfg.threshold)
-    cfg.fallback = doc.get("fallback", cfg.fallback)
-    cfg.filter_normative = doc.get("filter_normative", cfg.filter_normative)
-    cfg.output_format = doc.get("format", cfg.output_format)
-    if "scoring" in doc:
-        cfg.scoring = replace(ScoringConstants(), **doc["scoring"])
-    if "salience" in doc:
-        cfg.salience = replace(LexicalWeights(), **doc["salience"])
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Range-check constants and confirm every referenced path exists."""
-    if cfg.scorer not in ("lexical", "remote"):
-        raise ConfigError(f"scorer must be 'lexical' or 'remote', got {cfg.scorer!r}")
-    if cfg.realizer not in ("template", "llm"):
-        raise ConfigError(f"realizer must be 'template' or 'llm', got {cfg.realizer!r}")
-    if not 1 <= cfg.top_k <= 6:
-        raise ConfigError(f"top_k must be in 1..6, got {cfg.top_k}")
-    if cfg.threshold is not None and not 0.0 <= cfg.threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {cfg.threshold}")
-    if cfg.output_format not in (FORMAT_JSON, FORMAT_TEXT):
-        raise ConfigError(f"format must be 'json' or 'text', got {cfg.output_format!r}")
-    for name in ("urgency_time_weight", "urgency_keyword_weight"):
-        value = getattr(cfg.scoring, name)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"scoring.{name} must be in [0, 1], got {value}")
-    for name in ("urgency_keyword_saturation", "agency_saturation"):
-        value = getattr(cfg.scoring, name)
-        if value < 1:
-            raise ConfigError(f"scoring.{name} must be >= 1, got {value}")
-    for name in (
-        "query_hit",
-        "profile_hit",
-        "time_constraint_bonus",
-        "sentiment_bonus",
-        "goals_bonus",
-        "constraints_bonus",
-    ):
-        value = getattr(cfg.salience, name)
-        if value < 0:
-            raise ConfigError(f"salience.{name} must be >= 0, got {value}")
-    for label, path in (
-        ("registry", cfg.registry_path),
-        ("lexicons", cfg.lexicons_path),
-        ("profile", cfg.profile_path),
-        ("candidates", cfg.candidates_path),
-        ("prompts", cfg.prompts_path),
-    ):
-        if path is not None and not Path(path).exists():
-            raise ConfigError(f"{label} path does not exist: {path}")
+    ``flags`` maps config keys (the names of the CLI flags) to values; a
+    setting of None or an empty path is not given. A document or paths value
+    that is not an object is left for the schema to reject. Every path must
+    exist.
+    """
+    given = {key: flags[key] for key in SETTING_KEYS if flags.get(key) is not None}
+    given_paths = {key: flags[key] for key in PATH_KEYS if flags.get(key)}
+    if isinstance(doc, dict) and isinstance(doc.get("paths", {}), dict):
+        doc = {**doc, **given, "paths": {**doc.get("paths", {}), **given_paths}}
+    validate(doc, CONFIG_SCHEMA, "config")
+    paths = doc["paths"]
+    for key in PATH_KEYS:
+        if paths.get(key) is not None and not Path(paths[key]).exists():
+            raise ConfigError(f"{key} path does not exist: {paths[key]}")
+    return RunConfig(
+        **{f"{key}_path": path for key, path in paths.items()},
+        **{key: value for key, value in doc.items() if key in SETTING_KEYS},
+        out_dir=out_dir,
+        scoring=ScoringConstants(**doc.get("scoring", {})),
+        salience=LexicalWeights(**doc.get("salience", {})),
+    )

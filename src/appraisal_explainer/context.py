@@ -96,13 +96,11 @@ class UserProfile:
     preference_keywords: tuple[str, ...] = ()
     dietary_constraints: tuple[str, ...] = ()
     familiar_items: tuple[str, ...] = ()
-    history_queries: tuple[str, ...] = ()
 
     def __post_init__(self):
         for name in ("goals", "preference_keywords", "dietary_constraints", "familiar_items"):
             values = tuple(v.strip().lower() for v in getattr(self, name) if v.strip())
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "history_queries", tuple(self.history_queries))
 
     @classmethod
     def from_dict(cls, record: dict) -> "UserProfile":
@@ -113,7 +111,6 @@ class UserProfile:
             preference_keywords=tuple(record.get("preference_keywords", ())),
             dietary_constraints=tuple(record.get("dietary_constraints", ())),
             familiar_items=tuple(record.get("familiar_items", ())),
-            history_queries=tuple(record.get("history_queries", ())),
         )
 
 
@@ -187,8 +184,6 @@ def build_unified_context(
     query text, and tokens of the profile's goals and preference keywords.
     Sentiment is tallied over the query text only (the momentary signal).
     """
-    if not query.text.strip():
-        raise EmptyQuery("query text is empty")
     query_tokens = tokenize(query.text)
     profile_tokens: list[str] = []
     for keyword in profile.goals + profile.preference_keywords:

@@ -18,10 +18,6 @@ class ConfigError(InputError):
     """Malformed or out-of-range configuration."""
 
 
-class DuplicateItem(InputError):
-    """An appraisal item id appears more than once."""
-
-
 class UnknownDimension(InputError):
     """A record references a dimension id outside the closed set of six."""
 

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .context import UnifiedContext
 from .errors import (
-    ConfigError,
     EmptyCompletion,
     InputError,
     InvalidPromptRequest,
@@ -27,6 +26,7 @@ from .registry import Dimension, Registry
 from .remote import ChatEndpoint, request_chat_completion
 from .runlog import RunLog
 from .salience import SalienceProfile
+from .schemas import PROMPTS_SCHEMA, load_document
 from .scoring import Candidate, RankedList
 
 MODE_APPRAISAL = "appraisal"
@@ -101,8 +101,6 @@ def build_plan(
     if not ranked.entries:
         raise NothingToExplain("ranked list has no entries to explain")
     top = ranked.entries[0]
-    if top.candidate is None:
-        raise InputError("ranked entries carry no candidate objects to explain")
     findings = {
         dim: DimensionFinding(
             dimension=dim,
@@ -184,24 +182,19 @@ def _bundled_prompts() -> str:
 
 
 def load_prompt_templates(source: str | Path | dict | None = None) -> PromptTemplates:
+    """The bundled prompt templates, with overrides from ``source``.
+
+    A source document, validated against ``PROMPTS_SCHEMA``, replaces the
+    texts and section labels it names; everything else keeps the bundled text.
+    """
     doc = json.loads(_bundled_prompts())
     if source is not None:
-        override = source if isinstance(source, dict) else json.loads(
-            Path(source).read_text("utf-8")
-        )
-        if not isinstance(override, dict):
-            raise ConfigError("prompt template document must be a JSON object")
-        for key, value in override.items():
+        for key, value in load_document(source, "prompts", PROMPTS_SCHEMA).items():
             if key == "section_labels":
                 doc["section_labels"].update(value)
             else:
                 doc[key] = value
-    return PromptTemplates(
-        system_instruction=doc["system_instruction"],
-        section_labels=dict(doc["section_labels"]),
-        appraisal_instruction=doc["appraisal_instruction"],
-        baseline_instruction=doc["baseline_instruction"],
-    )
+    return PromptTemplates(**doc)
 
 
 @dataclass(frozen=True)
@@ -365,21 +358,11 @@ class MentionReport:
     evidence: tuple[str, ...]
     length: int
 
-    def to_dict(self) -> dict:
-        return {
-            "dimensions": list(self.dimensions),
-            "evidence": list(self.evidence),
-            "length": self.length,
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
     appraisal: MentionReport
     baseline: MentionReport
-
-    def to_dict(self) -> dict:
-        return {"appraisal": self.appraisal.to_dict(), "baseline": self.baseline.to_dict()}
 
 
 def _mentions(text: str, plan: ExplanationPlan) -> MentionReport:

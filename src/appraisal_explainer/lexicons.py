@@ -8,8 +8,8 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
-from .registry import Dimension, parse_dimension
+from .registry import Dimension
+from .schemas import LEXICONS_SCHEMA, load_document
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,8 @@ class Lexicons:
 
 
 def _normalize(words) -> frozenset[str]:
-    if not isinstance(words, (list, tuple)):
-        raise ConfigError("lexicon word lists must be JSON arrays of strings")
-    cleaned = set()
-    for word in words:
-        if not isinstance(word, str):
-            raise ConfigError(f"lexicon entries must be strings, got {word!r}")
-        word = word.strip().lower()
-        if word:
-            cleaned.add(word)
-    return frozenset(cleaned)
+    cleaned = (word.strip().lower() for word in words)
+    return frozenset(word for word in cleaned if word)
 
 
 @lru_cache(maxsize=1)
@@ -45,29 +37,17 @@ def _bundled_doc() -> str:
 def load_lexicons(source: str | Path | dict | None = None) -> Lexicons:
     """Load the bundled lexicons, with per-key overrides from ``source``.
 
-    A source document replaces exactly the dimension lists and sentiment
-    lists it names; everything else keeps the bundled defaults.
+    A source document, validated against ``LEXICONS_SCHEMA``, replaces exactly
+    the dimension lists and sentiment lists it names; everything else keeps
+    the bundled defaults.
     """
     doc = json.loads(_bundled_doc())
     if source is not None:
-        override = source if isinstance(source, dict) else json.loads(
-            Path(source).read_text("utf-8")
-        )
-        if not isinstance(override, dict):
-            raise ConfigError("lexicons document must be a JSON object")
-        for key, words in override.get("dimensions", {}).items():
-            parse_dimension(key)
-            doc["dimensions"][key] = words
-        for key, words in override.get("sentiment", {}).items():
-            if key not in ("positive", "negative"):
-                raise ConfigError(f"unknown sentiment lexicon {key!r}")
-            doc["sentiment"][key] = words
-    dimension_words = {
-        parse_dimension(key): _normalize(words)
-        for key, words in doc["dimensions"].items()
-    }
+        override = load_document(source, "lexicons", LEXICONS_SCHEMA)
+        for section in ("dimensions", "sentiment"):
+            doc[section].update(override.get(section, {}))
     return Lexicons(
-        dimension_words=dimension_words,
+        dimension_words={Dimension(key): _normalize(words) for key, words in doc["dimensions"].items()},
         positive=_normalize(doc["sentiment"]["positive"]),
         negative=_normalize(doc["sentiment"]["negative"]),
     )

@@ -76,41 +76,32 @@ def salience_stage(
     return context, salience
 
 
-def realize_appraisal(
-    plan: ExplanationPlan,
-    data: EngineData,
-    cfg: RunConfig,
-    runlog: RunLog,
-) -> str:
-    """Realize the appraisal explanation with the configured realizer.
+def _realize(mode: str, render, data: EngineData, cfg: RunConfig, runlog: RunLog, **prompt_args) -> str:
+    """Realize one text with the configured realizer; ``render`` is its template.
 
-    The llm realizer degrades to the template realizer when unavailable and
-    fallback is enabled; the run log flags the degraded record.
+    The llm realizer degrades to the template when unavailable and fallback
+    is enabled; the run log flags the degraded record and keeps its prompt.
     """
-    if cfg.realizer == "template":
-        text = realize_template(plan)
-        runlog.record(mode=MODE_APPRAISAL, realizer="template", response=text)
-        return text
-    bundle = build_prompt(MODE_APPRAISAL, plan=plan, templates=data.prompts)
-    try:
-        endpoint = ChatEndpoint.from_env()
-        if endpoint is None:
-            raise RealizerUnavailable(
-                "chat endpoint not configured (set APPRAISAL_LLM_URL)"
-            )
-        return realize_llm(bundle, endpoint, runlog=runlog)
-    except RealizerUnavailable:
-        if not cfg.fallback:
-            raise
-        text = realize_template(plan)
-        runlog.record(
-            mode=MODE_APPRAISAL,
-            realizer="template",
-            response=text,
-            prompt=bundle.to_dict(),
-            fallback=True,
-        )
-        return text
+    bundle = None
+    if cfg.realizer != "template":
+        bundle = build_prompt(mode, templates=data.prompts, **prompt_args)
+        try:
+            endpoint = ChatEndpoint.from_env()
+            if endpoint is None:
+                raise RealizerUnavailable("chat endpoint not configured (set APPRAISAL_LLM_URL)")
+            return realize_llm(bundle, endpoint, runlog=runlog)
+        except RealizerUnavailable:
+            if not cfg.fallback:
+                raise
+    text = render()
+    prompt = None if bundle is None else bundle.to_dict()
+    runlog.record(mode=mode, realizer="template", response=text, prompt=prompt, fallback=bundle is not None)
+    return text
+
+
+def realize_appraisal(plan: ExplanationPlan, data: EngineData, cfg: RunConfig, runlog: RunLog) -> str:
+    """Realize the appraisal explanation with the configured realizer."""
+    return _realize(MODE_APPRAISAL, lambda: realize_template(plan), data, cfg, runlog, plan=plan)
 
 
 def realize_baseline(
@@ -121,32 +112,10 @@ def realize_baseline(
     runlog: RunLog,
 ) -> str:
     """Realize the non-appraisal baseline with the configured realizer."""
-    if cfg.realizer == "template":
-        text = realize_baseline_template(context, candidates)
-        runlog.record(mode=MODE_BASELINE, realizer="template", response=text)
-        return text
-    bundle = build_prompt(
-        MODE_BASELINE, context=context, candidates=candidates, templates=data.prompts
+    return _realize(
+        MODE_BASELINE, lambda: realize_baseline_template(context, candidates),
+        data, cfg, runlog, context=context, candidates=candidates,
     )
-    try:
-        endpoint = ChatEndpoint.from_env()
-        if endpoint is None:
-            raise RealizerUnavailable(
-                "chat endpoint not configured (set APPRAISAL_LLM_URL)"
-            )
-        return realize_llm(bundle, endpoint, runlog=runlog)
-    except RealizerUnavailable:
-        if not cfg.fallback:
-            raise
-        text = realize_baseline_template(context, candidates)
-        runlog.record(
-            mode=MODE_BASELINE,
-            realizer="template",
-            response=text,
-            prompt=bundle.to_dict(),
-            fallback=True,
-        )
-        return text
 
 
 def run_pipeline(

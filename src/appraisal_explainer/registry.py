@@ -1,9 +1,10 @@
-"""Appraisal catalog: six dimensions, their CoreGRID items, and extension loading.
+"""The six appraisal dimensions, their display names and canonical statements.
 
-The dimension set is closed. Items live in a bundled catalog shipped as
-package data; callers may extend it with additional items through a source
-document (for example the ``--registry`` CLI flag), but never redefine the
-dimensions themselves.
+The dimension set is closed. The bundled registry, shipped as package data,
+names each dimension for explanations and gives the canonical statement the
+entailment scorer tests as a hypothesis. A source document (for example the
+``--registry`` CLI flag) may override either text per dimension, but never
+add or remove dimensions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, DuplicateItem, UnknownDimension
+from .errors import UnknownDimension
 
 
 class Dimension(str, Enum):
@@ -38,10 +39,6 @@ class Dimension(str, Enum):
 
 _DIMENSION_ORDER = {dim: idx for idx, dim in enumerate(Dimension)}
 
-CODING_DIRECT = "direct"
-CODING_INVERSE = "inverse"
-SUBGROUP_CAUSATION = "causation"
-
 
 @dataclass(frozen=True)
 class DimensionInfo:
@@ -51,91 +48,16 @@ class DimensionInfo:
 
 
 @dataclass(frozen=True)
-class AppraisalItem:
-    id: str
-    statement: str
-    dimension: Dimension
-    coding: str = CODING_DIRECT
-    # Affirming an inverse-coded item lowers the dimension reading instead of
-    # raising it (e.g. "there was no urgency in the situation").
-    subgroup: str | None = None
-
-
-def _item_key(item: AppraisalItem) -> tuple[int, str]:
-    return (item.dimension.order, item.id)
-
-
-@dataclass(frozen=True)
 class Registry:
-    """Immutable catalog of dimensions plus bundled and extension items."""
+    """One DimensionInfo per dimension, in canonical dimension order."""
 
     dimensions: tuple[DimensionInfo, ...]
-    items: tuple[AppraisalItem, ...]
-    extensions: tuple[AppraisalItem, ...] = ()
-
-    @property
-    def all_items(self) -> tuple[AppraisalItem, ...]:
-        """Bundled and extension items merged, in catalog order."""
-        return tuple(sorted(self.items + self.extensions, key=_item_key))
-
-    def items_of(self, dim: Dimension) -> tuple[AppraisalItem, ...]:
-        """Items belonging to ``dim``, in catalog order."""
-        return tuple(item for item in self.all_items if item.dimension == dim)
-
-    def info(self, dim: Dimension) -> DimensionInfo:
-        for entry in self.dimensions:
-            if entry.id == dim:
-                return entry
-        raise UnknownDimension(f"dimension not present in registry: {dim.value}")
 
     def display_name(self, dim: Dimension) -> str:
-        return self.info(dim).display_name
+        return self.dimensions[dim.order].display_name
 
     def canonical_statement(self, dim: Dimension) -> str:
-        return self.info(dim).canonical_statement
-
-    def to_document(self) -> dict:
-        """Serialize to the registry JSON document format."""
-        return {
-            "dimensions": [
-                {
-                    "id": info.id.value,
-                    "display_name": info.display_name,
-                    "canonical_statement": info.canonical_statement,
-                }
-                for info in self.dimensions
-            ],
-            "items": [_item_to_dict(item) for item in self.all_items],
-        }
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "Registry":
-        """Parse a full registry document.
-
-        Items whose id belongs to the bundled catalog are kept in ``items``;
-        everything else lands in ``extensions``, so serialization round-trips.
-        """
-        dimensions = _parse_dimension_infos(doc.get("dimensions", ()))
-        parsed = [_parse_item(record) for record in doc.get("items", ())]
-        _check_unique_ids(parsed)
-        bundled_ids = _bundled_item_ids()
-        items = tuple(sorted((i for i in parsed if i.id in bundled_ids), key=_item_key))
-        extensions = tuple(
-            sorted((i for i in parsed if i.id not in bundled_ids), key=_item_key)
-        )
-        return cls(dimensions=dimensions, items=items, extensions=extensions)
-
-
-def _item_to_dict(item: AppraisalItem) -> dict:
-    record = {
-        "id": item.id,
-        "statement": item.statement,
-        "dimension": item.dimension.value,
-        "coding": item.coding,
-    }
-    if item.subgroup is not None:
-        record["subgroup"] = item.subgroup
-    return record
+        return self.dimensions[dim.order].canonical_statement
 
 
 def parse_dimension(value: object) -> Dimension:
@@ -145,103 +67,29 @@ def parse_dimension(value: object) -> Dimension:
         raise UnknownDimension(f"unknown dimension id: {value!r}") from None
 
 
-def _parse_item(record: dict) -> AppraisalItem:
-    if not isinstance(record, dict):
-        raise ConfigError(f"item record must be an object, got {type(record).__name__}")
-    try:
-        item_id = record["id"]
-        statement = record["statement"]
-        dimension = record["dimension"]
-    except KeyError as exc:
-        raise ConfigError(f"item record missing required key {exc}") from None
-    coding = record.get("coding", CODING_DIRECT)
-    if coding not in (CODING_DIRECT, CODING_INVERSE):
-        raise ConfigError(f"item {item_id!r} has invalid coding {coding!r}")
-    if not isinstance(statement, str) or not statement.strip():
-        raise ConfigError(f"item {item_id!r} has an empty statement")
-    return AppraisalItem(
-        id=item_id,
-        statement=statement,
-        dimension=parse_dimension(dimension),
-        coding=coding,
-        subgroup=record.get("subgroup"),
-    )
-
-
-def _parse_dimension_infos(records) -> tuple[DimensionInfo, ...]:
-    by_dim: dict[Dimension, DimensionInfo] = {
-        info.id: info for info in _bundled_registry().dimensions
-    }
-    for record in records:
-        dim = parse_dimension(record.get("id"))
-        base = by_dim[dim]
-        display = record.get("display_name") or base.display_name
-        canonical = record.get("canonical_statement") or base.canonical_statement
-        if not canonical.strip():
-            raise ConfigError(f"dimension {dim.value} has an empty canonical statement")
-        by_dim[dim] = DimensionInfo(dim, display, canonical)
-    return tuple(by_dim[dim] for dim in Dimension)
-
-
-def _check_unique_ids(items) -> None:
-    seen: set[str] = set()
-    for item in items:
-        if item.id in seen:
-            raise DuplicateItem(f"duplicate appraisal item id: {item.id!r}")
-        seen.add(item.id)
-
-
 @lru_cache(maxsize=1)
 def _bundled_document() -> str:
     return resources.files(__package__).joinpath("data/registry.json").read_text("utf-8")
 
 
-@lru_cache(maxsize=1)
-def _bundled_registry() -> Registry:
-    doc = json.loads(_bundled_document())
-    dimensions = tuple(
-        DimensionInfo(
-            parse_dimension(record["id"]),
-            record["display_name"],
-            record["canonical_statement"],
-        )
-        for record in doc["dimensions"]
-    )
-    by_dim = {info.id: info for info in dimensions}
-    if set(by_dim) != set(Dimension):
-        raise ConfigError("bundled registry must define all six dimensions")
-    items = [_parse_item(record) for record in doc["items"]]
-    _check_unique_ids(items)
-    ordered = tuple(by_dim[dim] for dim in Dimension)
-    return Registry(dimensions=ordered, items=tuple(sorted(items, key=_item_key)))
-
-
-@lru_cache(maxsize=1)
-def _bundled_item_ids() -> frozenset[str]:
-    return frozenset(item.id for item in _bundled_registry().items)
-
-
 def load_registry(source: str | Path | dict | None = None) -> Registry:
-    """Load the bundled catalog, optionally merged with a source document.
+    """The bundled registry, with per-dimension text overrides from ``source``.
 
-    The source document may override dimension display names or canonical
-    statements and may add extension items; it may not remove bundled items
-    or reuse their ids.
+    Each override record names a dimension by id and may set its display name
+    or canonical statement; a field that is missing or empty keeps the
+    bundled value. The document is validated against ``REGISTRY_SCHEMA``.
     """
-    bundled = _bundled_registry()
-    if source is None:
-        return bundled
-    if isinstance(source, dict):
-        doc = source
-    else:
-        doc = json.loads(Path(source).read_text("utf-8"))
-    if not isinstance(doc, dict):
-        raise ConfigError("registry document must be a JSON object")
-    dimensions = _parse_dimension_infos(doc.get("dimensions", ()))
-    extensions = [_parse_item(record) for record in doc.get("items", ())]
-    _check_unique_ids(list(bundled.items) + extensions)
+    records = {record["id"]: record for record in json.loads(_bundled_document())["dimensions"]}
+    if source is not None:
+        # Imported here because schemas imports Dimension from this module.
+        from .schemas import REGISTRY_SCHEMA, load_document
+
+        for record in load_document(source, "registry", REGISTRY_SCHEMA).get("dimensions", ()):
+            given = {key: value for key, value in record.items() if value}
+            records[record["id"]] = {**records[record["id"]], **given}
     return Registry(
-        dimensions=dimensions,
-        items=bundled.items,
-        extensions=tuple(sorted(extensions, key=_item_key)),
+        tuple(
+            DimensionInfo(dim, records[dim.value]["display_name"], records[dim.value]["canonical_statement"])
+            for dim in Dimension
+        )
     )

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
+
+from .errors import ConfigError
 from .registry import Dimension
 
 DIMENSION_IDS = [dim.value for dim in Dimension]
@@ -38,24 +45,10 @@ REGISTRY_SCHEMA = {
                 "properties": {
                     "id": _DIMENSION_ENUM,
                     "display_name": {"type": "string"},
-                    "canonical_statement": {"type": "string"},
+                    # Empty keeps the bundled statement; whitespace alone is rejected.
+                    "canonical_statement": {"type": "string", "pattern": "^$|\\S"},
                 },
                 "required": ["id"],
-                "additionalProperties": False,
-            },
-        },
-        "items": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "id": {"type": "string", "minLength": 1},
-                    "statement": {"type": "string", "minLength": 1},
-                    "dimension": _DIMENSION_ENUM,
-                    "coding": {"type": "string", "enum": ["direct", "inverse"]},
-                    "subgroup": {"type": "string"},
-                },
-                "required": ["id", "statement", "dimension"],
                 "additionalProperties": False,
             },
         },
@@ -78,6 +71,26 @@ LEXICONS_SCHEMA = {
             "properties": {"positive": _STRING_ARRAY, "negative": _STRING_ARRAY},
             "additionalProperties": False,
         },
+    },
+    "additionalProperties": False,
+}
+
+PROMPTS_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "Prompt templates",
+    "type": "object",
+    "properties": {
+        "system_instruction": {"type": "string"},
+        "section_labels": {
+            "type": "object",
+            "properties": {
+                label: {"type": "string"}
+                for label in ("profile", "situation", "appraisals", "candidates", "instruction")
+            },
+            "additionalProperties": False,
+        },
+        "appraisal_instruction": {"type": "string"},
+        "baseline_instruction": {"type": "string"},
     },
     "additionalProperties": False,
 }
@@ -293,6 +306,7 @@ COMPARISON_OUTPUT_SCHEMA = {
 SCHEMAS = {
     "registry": REGISTRY_SCHEMA,
     "lexicons": LEXICONS_SCHEMA,
+    "prompts": PROMPTS_SCHEMA,
     "profile": PROFILE_SCHEMA,
     "candidates": CANDIDATES_SCHEMA,
     "config": CONFIG_SCHEMA,
@@ -302,3 +316,31 @@ SCHEMAS = {
     "plan_output": PLAN_OUTPUT_SCHEMA,
     "comparison_output": COMPARISON_OUTPUT_SCHEMA,
 }
+
+
+def load_document(source: str | Path | dict, what: str, schema: dict | None = None):
+    """``source`` as a JSON document: parsed from its file unless already a dict.
+
+    With ``schema``, the document is validated against it as ``validate`` does.
+    """
+    if isinstance(source, dict):
+        doc = source
+    else:
+        try:
+            doc = json.loads(Path(source).read_text("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} file {source} is not valid JSON: {exc}") from exc
+    return doc if schema is None else validate(doc, schema, what)
+
+
+def validate(doc, schema: dict, what: str):
+    """Return ``doc`` if ``schema`` accepts it, else raise ConfigError naming the JSON path.
+
+    For example: ``config $.top_k: 9 is greater than the maximum of 6``.
+    The validator is built from the schema without checking the schema
+    against its metaschema, which would cost more than the validation.
+    """
+    error = best_match(Draft202012Validator(schema).iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"{what} {error.json_path}: {error.message}")
+    return doc

@@ -51,17 +51,6 @@ class Candidate:
             customization_options=int(record.get("customization_options", 0)),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "description": self.description,
-            "prep_time_minutes": self.prep_time_minutes,
-            "ingredients": list(self.ingredients),
-            "tags": list(self.tags),
-            "customization_options": self.customization_options,
-        }
-
 
 @dataclass(frozen=True)
 class AppraisalVector:
@@ -77,7 +66,7 @@ class RankedEntry:
     candidate_id: str
     composite: float
     vector: AppraisalVector
-    candidate: Candidate | None = None
+    candidate: Candidate
 
 
 @dataclass(frozen=True)
@@ -273,7 +262,11 @@ def appraisal_vector(
 
 
 def composite_score(vector: AppraisalVector, salience: SalienceProfile) -> float:
-    """Salience-weighted sum of the vector's scores, in fixed dimension order."""
+    """Salience-weighted sum of the vector's scores, in fixed dimension order.
+
+    Clamped to [0, 1]: weights that sum to 1 can add up to just above it in
+    floating point (0.4 + 0.2 + 0.3 + 0.1 is 1.0000000000000002).
+    """
     missing = [
         dim.value
         for dim in Dimension
@@ -284,28 +277,28 @@ def composite_score(vector: AppraisalVector, salience: SalienceProfile) -> float
     total = 0.0
     for dim in Dimension:
         total += salience.weights[dim] * vector.scores[dim]
-    return total
+    return _clamp01(total)
 
 
 def rank_vectors(
     vectors: list[AppraisalVector],
+    candidates: list[Candidate],
     salience: SalienceProfile,
     filter_normative: bool = True,
-    candidates_by_id: dict[str, Candidate] | None = None,
 ) -> RankedList:
     """Rank precomputed vectors: filter normative violations, sort by composite.
 
-    Entries sort by composite descending with candidate id as the tie-break;
-    the excluded list keeps input order.
+    ``candidates[i]`` is the candidate ``vectors[i]`` scores. Entries sort by
+    composite descending with candidate id as the tie-break; the excluded
+    list keeps input order.
     """
     entries: list[RankedEntry] = []
     excluded: list[Exclusion] = []
-    for vector in vectors:
+    for vector, candidate in zip(vectors, candidates, strict=True):
         if filter_normative and vector.scores.get(Dimension.NORMATIVE_SIGNIFICANCE) == 0.0:
             reason = "; ".join(vector.evidence.get(Dimension.NORMATIVE_SIGNIFICANCE, ()))
             excluded.append(Exclusion(vector.candidate_id, reason or "normative violation"))
             continue
-        candidate = (candidates_by_id or {}).get(vector.candidate_id)
         entries.append(
             RankedEntry(
                 vector.candidate_id, composite_score(vector, salience), vector, candidate
@@ -336,9 +329,4 @@ def rank_candidates(
         appraisal_vector(candidate, context, lexicons, constants)
         for candidate in candidates
     ]
-    return rank_vectors(
-        vectors,
-        salience,
-        filter_normative=filter_normative,
-        candidates_by_id={candidate.id: candidate for candidate in candidates},
-    )
+    return rank_vectors(vectors, candidates, salience, filter_normative=filter_normative)

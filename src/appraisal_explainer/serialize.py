@@ -6,10 +6,10 @@ byte-stable for identical inputs.
 
 from __future__ import annotations
 
-from .explanation import ComparisonReport, ExplanationPlan
+from .explanation import ComparisonReport, ExplanationPlan, MentionReport
 from .registry import Dimension
 from .salience import SalienceProfile
-from .scoring import RankedList
+from .scoring import Candidate, RankedList
 
 
 def salience_to_dict(profile: SalienceProfile) -> dict:
@@ -41,6 +41,18 @@ def ranking_to_dict(ranked: RankedList) -> dict:
     }
 
 
+def _candidate_to_dict(candidate: Candidate) -> dict:
+    return {
+        "id": candidate.id,
+        "name": candidate.name,
+        "description": candidate.description,
+        "prep_time_minutes": candidate.prep_time_minutes,
+        "ingredients": list(candidate.ingredients),
+        "tags": list(candidate.tags),
+        "customization_options": candidate.customization_options,
+    }
+
+
 def _finding_to_dict(finding) -> dict:
     return {
         "dimension": finding.dimension.value,
@@ -53,7 +65,7 @@ def _finding_to_dict(finding) -> dict:
 
 def plan_to_dict(plan: ExplanationPlan) -> dict:
     return {
-        "candidate": plan.candidate.to_dict(),
+        "candidate": _candidate_to_dict(plan.candidate),
         "dominant": [_finding_to_dict(f) for f in plan.dominant],
         "per_dimension": [_finding_to_dict(f) for f in plan.per_dimension],
         "context_summary": plan.context_summary,
@@ -61,5 +73,16 @@ def plan_to_dict(plan: ExplanationPlan) -> dict:
     }
 
 
+def _mentions_to_dict(report: MentionReport) -> dict:
+    return {
+        "dimensions": list(report.dimensions),
+        "evidence": list(report.evidence),
+        "length": report.length,
+    }
+
+
 def comparison_to_dict(report: ComparisonReport) -> dict:
-    return report.to_dict()
+    return {
+        "appraisal": _mentions_to_dict(report.appraisal),
+        "baseline": _mentions_to_dict(report.baseline),
+    }

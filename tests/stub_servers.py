@@ -39,7 +39,10 @@ def stub_server(respond):
     server.requests = requests_seen
     server.headers = headers_seen
     server.url = f"http://127.0.0.1:{server.server_address[1]}/"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() from waiting up to 0.5 s per stub.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield server

@@ -219,6 +219,9 @@ def test_scenario_passes(capsys, tmp_path, name):
         "runlog.jsonl",
     ):
         assert (tmp_path / name / filename).exists()
+    for part in ("salience", "ranking", "plan"):
+        golden = (GOLDEN_DIR / f"{name}_{part}.json").read_bytes()
+        assert (tmp_path / name / f"{part}.json").read_bytes() == golden
 
 
 def test_scenario_unknown_lists_fixtures(capsys):
@@ -295,3 +298,27 @@ def test_config_rejects_bad_top_k(capsys, fixture_files):
     )
     assert code == 2
     assert "top_k" in err
+
+
+@pytest.mark.parametrize(
+    "flag, doc, path",
+    [
+        ("--registry", {"dimensions": ["x"]}, "registry $.dimensions[0]:"),
+        ("--lexicons", {"dimensions": []}, "lexicons $.dimensions:"),
+        ("--prompts", {"section_labels": "x"}, "prompts $.section_labels:"),
+    ],
+    ids=["registry", "lexicons", "prompts"],
+)
+def test_malformed_override_is_an_input_error(capsys, fixture_files, tmp_path, flag, doc, path):
+    profile, query, candidates = fixture_files("sarah")
+    override = tmp_path / "override.json"
+    override.write_text(json.dumps(doc))
+    code, _, err = _run(
+        capsys,
+        [
+            "explain", "--profile", profile, "--query", query,
+            "--candidates", candidates, flag, str(override),
+        ],
+    )
+    assert code == 2
+    assert path in err

@@ -1,38 +1,16 @@
+import json
+import re
+
 import pytest
-from hypothesis import given, strategies as st
 
-from appraisal_explainer import Dimension, Registry, load_registry
-from appraisal_explainer.errors import DuplicateItem, UnknownDimension
-
-EXPECTED_COUNTS = {
-    Dimension.PREDICTABILITY_SURPRISE: 6,
-    Dimension.GOAL_RELEVANCE: 2,
-    Dimension.VALENCE: 2,
-    Dimension.URGENCY: 1,
-    Dimension.AGENCY: 7,
-    Dimension.NORMATIVE_SIGNIFICANCE: 2,
-}
-
-INVERSE_STATEMENTS = {
-    "there was no urgency in the situation",
-    "the event was uncontrollable",
-    "the person was powerless in the situation",
-}
+from appraisal_explainer import Dimension, load_registry
+from appraisal_explainer.errors import ConfigError
+from appraisal_explainer.registry import _bundled_document
 
 
 def test_bundled_catalog_shape(registry):
     assert len(registry.dimensions) == 6
     assert [info.id for info in registry.dimensions] == list(Dimension)
-    assert len(registry.all_items) == 20
-    for dim, count in EXPECTED_COUNTS.items():
-        assert len(registry.items_of(dim)) == count
-
-
-def test_counts_sum_to_catalog_and_partition(registry):
-    assert sum(EXPECTED_COUNTS.values()) == len(registry.all_items)
-    seen = [item.id for dim in Dimension for item in registry.items_of(dim)]
-    assert sorted(seen) == sorted(item.id for item in registry.all_items)
-    assert len(seen) == len(set(seen))
 
 
 def test_canonical_statements_nonempty(registry):
@@ -41,100 +19,42 @@ def test_canonical_statements_nonempty(registry):
         assert info.display_name.strip()
 
 
-def test_predictability_items(registry):
-    statements = [i.statement for i in registry.items_of(Dimension.PREDICTABILITY_SURPRISE)]
-    assert len(statements) == 6
-    assert "the event happened by chance" in statements
+def test_round_trip_bundled(registry):
+    assert load_registry(json.loads(_bundled_document())) == registry
 
 
-def test_urgency_item_is_inverse(registry):
-    items = registry.items_of(Dimension.URGENCY)
-    assert len(items) == 1
-    assert items[0].coding == "inverse"
-    assert items[0].statement == "there was no urgency in the situation"
+def test_display_name_override_keeps_canonical_statement(registry):
+    merged = load_registry(
+        {
+            "dimensions": [
+                {"id": "Urgency", "display_name": "Time Pressure"},
+                {"id": "Agency", "display_name": "", "canonical_statement": ""},
+            ]
+        }
+    )
+    assert merged.display_name(Dimension.URGENCY) == "Time Pressure"
+    assert merged.canonical_statement(Dimension.URGENCY) == registry.canonical_statement(
+        Dimension.URGENCY
+    )
+    assert merged.dimensions[Dimension.AGENCY.order] == registry.dimensions[Dimension.AGENCY.order]
+    assert [info.id for info in merged.dimensions] == list(Dimension)
 
 
-def test_goal_relevance_two_items(registry):
-    items = registry.items_of(Dimension.GOAL_RELEVANCE)
-    assert len(items) == 2
-    assert any("person's goals or needs" in item.statement for item in items)
-
-
-def test_inverse_coding_only_on_flagged_items(registry):
-    inverse = {item.statement for item in registry.all_items if item.coding == "inverse"}
-    assert inverse == INVERSE_STATEMENTS
-
-
-def test_causation_subgroup_inside_agency(registry):
-    causation = [item for item in registry.all_items if item.subgroup == "causation"]
-    assert len(causation) == 2
-    assert all(item.dimension == Dimension.AGENCY for item in causation)
-
-
-def test_extension_item_appends(registry):
-    source = {
-        "items": [
-            {
-                "id": "extra_item",
-                "statement": "the event could happen again",
-                "dimension": "PredictabilitySurprise",
-            }
-        ]
-    }
-    merged = load_registry(source)
-    assert len(merged.all_items) == 21
-    assert len(merged.items_of(Dimension.PREDICTABILITY_SURPRISE)) == 7
-    assert merged.extensions[0].id == "extra_item"
-
-
-def test_duplicate_bundled_id_rejected():
-    source = {
-        "items": [
-            {
-                "id": "urgency_none",
-                "statement": "anything",
-                "dimension": "Urgency",
-            }
-        ]
-    }
-    with pytest.raises(DuplicateItem):
-        load_registry(source)
+def _rejected_at(doc, path):
+    with pytest.raises(ConfigError, match="^" + re.escape(f"registry {path}: ")):
+        load_registry(doc)
 
 
 def test_unknown_dimension_rejected():
-    source = {
-        "items": [
-            {"id": "x", "statement": "something", "dimension": "Curiosity"}
-        ]
-    }
-    with pytest.raises(UnknownDimension):
-        load_registry(source)
+    _rejected_at({"dimensions": [{"id": "Curiosity"}]}, "$.dimensions[0].id")
 
 
-def test_items_sorted_by_dimension_then_id(registry):
-    keys = [(item.dimension.order, item.id) for item in registry.all_items]
-    assert keys == sorted(keys)
+def test_items_key_rejected():
+    _rejected_at({"items": [{"id": "x", "statement": "s", "dimension": "Urgency"}]}, "$")
 
 
-def test_round_trip_bundled(registry):
-    doc = registry.to_document()
-    again = Registry.from_document(doc)
-    assert again == registry
-
-
-_slug = st.text(alphabet="abcdefghij_", min_size=3, max_size=12)
-
-
-@given(
-    ids=st.lists(_slug.map(lambda s: "ext_" + s), min_size=0, max_size=4, unique=True),
-    dims=st.lists(st.sampled_from(list(Dimension)), min_size=4, max_size=4),
-)
-def test_round_trip_with_extensions(ids, dims):
-    source = {
-        "items": [
-            {"id": item_id, "statement": f"statement {item_id}", "dimension": dim.value}
-            for item_id, dim in zip(ids, dims)
-        ]
-    }
-    loaded = load_registry(source)
-    assert Registry.from_document(loaded.to_document()) == loaded
+def test_whitespace_canonical_statement_rejected():
+    _rejected_at(
+        {"dimensions": [{"id": "Urgency", "canonical_statement": "   "}]},
+        "$.dimensions[0].canonical_statement",
+    )

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from appraisal_explainer import (
     AppraisalVector,
@@ -143,6 +143,10 @@ def _vector(candidate_id, values):
     return AppraisalVector(candidate_id=candidate_id, scores=scores, evidence=evidence)
 
 
+def _candidates(vectors):
+    return [Candidate(id=vector.candidate_id, name=vector.candidate_id) for vector in vectors]
+
+
 def test_composite_uniform_all_ones():
     salience = _salience([1 / 6] * 6)
     assert composite_score(_vector("c", [1.0] * 6), salience) == pytest.approx(1.0)
@@ -163,6 +167,19 @@ def test_composite_matches_manual_dot_product():
     for w, s in zip(weights, scores):
         expected += w * s
     assert composite_score(_vector("c", scores), _salience(weights)) == expected
+
+
+@given(
+    raw=st.lists(st.floats(min_value=0, max_value=1e6), min_size=6, max_size=6),
+    scores=st.lists(st.floats(min_value=0, max_value=1), min_size=6, max_size=6),
+)
+@example(raw=[4, 2, 3, 1, 0, 0], scores=[1.0] * 6)  # sums to 1.0000000000000002 unclamped
+def test_composite_within_unit_interval(raw, scores):
+    from appraisal_explainer import normalize
+
+    weights = normalize(dict(zip(DIMS, raw)))
+    salience = _salience([weights[dim] for dim in DIMS])
+    assert 0.0 <= composite_score(_vector("c", scores), salience) <= 1.0
 
 
 def test_composite_missing_dimension_rejected():
@@ -199,7 +216,7 @@ def test_rank_sarah_fixture_winner(sarah, sarah_context, registry, lexicons):
 def test_rank_tie_breaks_by_id():
     salience = _salience([1 / 6] * 6)
     vectors = [_vector("zeta", [0.5] * 6), _vector("alpha", [0.5] * 6)]
-    ranked = rank_vectors(vectors, salience)
+    ranked = rank_vectors(vectors, _candidates(vectors), salience)
     assert [entry.candidate_id for entry in ranked.entries] == ["alpha", "zeta"]
 
 
@@ -314,7 +331,7 @@ def test_raising_a_score_never_lowers_rank(data):
     dim = data.draw(st.sampled_from(DIMS))
     bump = data.draw(st.floats(min_value=0.01, max_value=1.0))
 
-    before = rank_vectors(vectors, salience, filter_normative=False)
+    before = rank_vectors(vectors, _candidates(vectors), salience, filter_normative=False)
     target_id = vectors[target].candidate_id
     rank_before = [e.candidate_id for e in before.entries].index(target_id)
 
@@ -325,7 +342,7 @@ def test_raising_a_score_never_lowers_rank(data):
         scores=new_scores,
         evidence=vectors[target].evidence,
     )
-    after = rank_vectors(vectors, salience, filter_normative=False)
+    after = rank_vectors(vectors, _candidates(vectors), salience, filter_normative=False)
     rank_after = [e.candidate_id for e in after.entries].index(target_id)
     assert rank_after <= rank_before
 
@@ -344,6 +361,11 @@ def test_composite_order_invariant_under_weight_scaling(data, scale):
     ]
     base_weights = normalize(raw)
     scaled_weights = normalize({dim: value * scale for dim, value in raw.items()})
-    base = rank_vectors(vectors, _salience([base_weights[d] for d in DIMS]), filter_normative=False)
-    scaled = rank_vectors(vectors, _salience([scaled_weights[d] for d in DIMS]), filter_normative=False)
+    candidates = _candidates(vectors)
+    base = rank_vectors(
+        vectors, candidates, _salience([base_weights[d] for d in DIMS]), filter_normative=False
+    )
+    scaled = rank_vectors(
+        vectors, candidates, _salience([scaled_weights[d] for d in DIMS]), filter_normative=False
+    )
     assert [e.candidate_id for e in base.entries] == [e.candidate_id for e in scaled.entries]
