@@ -40,7 +40,6 @@ from .registry import (
     load_registry,
 )
 from .salience import (
-    LexicalWeights,
     SalienceProfile,
     compute_salience,
     dominant_dimensions,
@@ -53,7 +52,6 @@ from .scoring import (
     Candidate,
     RankedEntry,
     RankedList,
-    ScoringConstants,
     appraisal_vector,
     composite_score,
     rank_candidates,
@@ -69,7 +67,6 @@ __all__ = [
     "DimensionFinding",
     "DimensionInfo",
     "ExplanationPlan",
-    "LexicalWeights",
     "Lexicons",
     "PromptBundle",
     "Query",
@@ -77,7 +74,6 @@ __all__ = [
     "RankedList",
     "Registry",
     "SalienceProfile",
-    "ScoringConstants",
     "SentimentTally",
     "UnifiedContext",
     "UserProfile",

@@ -42,7 +42,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--baseline", action="store_true", help="emit the non-appraisal baseline")
     common.add_argument("--compare", action="store_true", help="emit both texts plus a comparison report")
     common.add_argument("--top-k", type=int, dest="top_k", help="number of dominant dimensions (1..6)")
-    common.add_argument("--threshold", type=float, help="select dominant dimensions by weight threshold instead of top-k")
     common.add_argument(
         "--no-normative-filter",
         dest="filter_normative",

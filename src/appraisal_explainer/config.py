@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
 
 from .context import UserProfile
 from .errors import ConfigError
-from .salience import LexicalWeights
 from .schemas import CANDIDATES_SCHEMA, CONFIG_SCHEMA, PROFILE_SCHEMA, validate
-from .scoring import Candidate, ScoringConstants
+from .scoring import Candidate
 
 FORMAT_JSON = "json"
 FORMAT_TEXT = "text"
@@ -20,7 +19,7 @@ FORMAT_TEXT = "text"
 # Keys of a config document, under "paths" and at the top level; the CLI
 # flags that override them have the same names.
 PATH_KEYS = ("registry", "lexicons", "profile", "candidates", "prompts")
-SETTING_KEYS = ("scorer", "realizer", "top_k", "threshold", "fallback", "filter_normative", "format")
+SETTING_KEYS = ("scorer", "realizer", "top_k", "fallback", "filter_normative", "format")
 
 
 @dataclass
@@ -35,13 +34,10 @@ class RunConfig:
     scorer: str = "lexical"
     realizer: str = "template"
     top_k: int = 3
-    threshold: float | None = None
     fallback: bool = False
     filter_normative: bool = True
     format: str = FORMAT_TEXT
     out_dir: str | None = None
-    scoring: ScoringConstants = field(default_factory=ScoringConstants)
-    salience: LexicalWeights = field(default_factory=LexicalWeights)
 
 
 def _validated_json(path: str | Path, schema: dict, what: str):
@@ -72,7 +68,8 @@ def resolve_config(doc, flags: dict, out_dir: str | None = None) -> RunConfig:
     ``flags`` maps config keys (the names of the CLI flags) to values; a
     setting of None or an empty path is not given. A document or paths value
     that is not an object is left for the schema to reject. Every path must
-    exist.
+    exist. A whole-number float ``top_k`` (JSON Schema counts 2.0 as an
+    integer) becomes an int.
     """
     given = {key: flags[key] for key in SETTING_KEYS if flags.get(key) is not None}
     given_paths = {key: flags[key] for key in PATH_KEYS if flags.get(key)}
@@ -83,10 +80,9 @@ def resolve_config(doc, flags: dict, out_dir: str | None = None) -> RunConfig:
     for key in PATH_KEYS:
         if paths.get(key) is not None and not Path(paths[key]).exists():
             raise ConfigError(f"{key} path does not exist: {paths[key]}")
+    settings = {key: value for key, value in doc.items() if key in SETTING_KEYS}
+    if "top_k" in settings:
+        settings["top_k"] = int(settings["top_k"])
     return RunConfig(
-        **{f"{key}_path": path for key, path in paths.items()},
-        **{key: value for key, value in doc.items() if key in SETTING_KEYS},
-        out_dir=out_dir,
-        scoring=ScoringConstants(**doc.get("scoring", {})),
-        salience=LexicalWeights(**doc.get("salience", {})),
+        **{f"{key}_path": path for key, path in paths.items()}, **settings, out_dir=out_dir
     )

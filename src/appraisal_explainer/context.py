@@ -133,12 +133,6 @@ class SourceHits:
     query: tuple[str, ...] = ()
     profile: tuple[str, ...] = ()
 
-    @property
-    def all(self) -> tuple[str, ...]:
-        merged = list(self.query)
-        merged.extend(w for w in self.profile if w not in self.query)
-        return tuple(merged)
-
 
 @dataclass(frozen=True)
 class UnifiedContext:

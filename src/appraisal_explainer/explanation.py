@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .context import UnifiedContext
 from .errors import (
+    ConfigError,
     EmptyCompletion,
     InputError,
     InvalidPromptRequest,
@@ -186,6 +187,7 @@ def load_prompt_templates(source: str | Path | dict | None = None) -> PromptTemp
 
     A source document, validated against ``PROMPTS_SCHEMA``, replaces the
     texts and section labels it names; everything else keeps the bundled text.
+    The appraisal instruction must format with its two placeholders alone.
     """
     doc = json.loads(_bundled_prompts())
     if source is not None:
@@ -194,6 +196,13 @@ def load_prompt_templates(source: str | Path | dict | None = None) -> PromptTemp
                 doc["section_labels"].update(value)
             else:
                 doc[key] = value
+    try:
+        doc["appraisal_instruction"].format(candidate_name="", dominant_names="")
+    except (KeyError, IndexError, ValueError, AttributeError) as exc:
+        raise ConfigError(
+            "prompts $.appraisal_instruction: the only placeholders are {candidate_name} "
+            f"and {{dominant_names}} ({type(exc).__name__}: {exc})"
+        ) from None
     return PromptTemplates(**doc)
 
 

@@ -65,13 +65,7 @@ def salience_stage(
 ) -> tuple[UnifiedContext, SalienceProfile]:
     context = build_unified_context(profile, query, data.registry, data.lexicons)
     salience = compute_salience(
-        context,
-        data.registry,
-        scorer=cfg.scorer,
-        k=cfg.top_k,
-        threshold=cfg.threshold,
-        fallback=cfg.fallback,
-        lexical_weights=cfg.salience,
+        context, data.registry, scorer=cfg.scorer, k=cfg.top_k, fallback=cfg.fallback
     )
     return context, salience
 
@@ -137,7 +131,6 @@ def run_pipeline(
         context,
         salience,
         lexicons=data.lexicons,
-        constants=cfg.scoring,
         filter_normative=cfg.filter_normative,
     )
     result = PipelineResult(context=context, salience=salience, ranked=ranked)

@@ -56,9 +56,6 @@ class Registry:
     def display_name(self, dim: Dimension) -> str:
         return self.dimensions[dim.order].display_name
 
-    def canonical_statement(self, dim: Dimension) -> str:
-        return self.dimensions[dim.order].canonical_statement
-
 
 def parse_dimension(value: object) -> Dimension:
     try:

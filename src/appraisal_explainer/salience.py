@@ -23,16 +23,13 @@ SCORER_REMOTE = "remote-entailment"
 SCORER_FALLBACK = "lexical (fallback from remote-entailment)"
 
 
-@dataclass(frozen=True)
-class LexicalWeights:
-    """Constants of the lexical scorer; query hits outweigh profile hits."""
-
-    query_hit: float = 2.0
-    profile_hit: float = 1.0
-    time_constraint_bonus: float = 2.0
-    sentiment_bonus: float = 1.0
-    goals_bonus: float = 1.0
-    constraints_bonus: float = 1.0
+# Constants of the lexical scorer; query hits outweigh profile hits.
+QUERY_HIT = 2.0
+PROFILE_HIT = 1.0
+TIME_CONSTRAINT_BONUS = 2.0
+SENTIMENT_BONUS = 1.0
+GOALS_BONUS = 1.0
+CONSTRAINTS_BONUS = 1.0
 
 
 @dataclass(frozen=True)
@@ -44,14 +41,10 @@ class SalienceProfile:
     scorer_id: str
 
 
-def lexical_salience(
-    context: UnifiedContext,
-    registry: Registry,
-    weights: LexicalWeights = LexicalWeights(),
-) -> dict[Dimension, float]:
+def lexical_salience(context: UnifiedContext, registry: Registry) -> dict[Dimension, float]:
     """Raw salience per dimension from keyword hits and structural bonuses.
 
-    raw(d) = query_hit * |query hits for d| + profile_hit * |profile hits for d|
+    raw(d) = QUERY_HIT * |query hits for d| + PROFILE_HIT * |profile hits for d|
     plus: time bonus on Urgency when a time constraint parsed, sentiment bonus
     on Valence when the query tallied any sentiment word, goals bonus on
     GoalRelevance when the profile has goals, and constraints bonus on
@@ -62,17 +55,17 @@ def lexical_salience(
         hits = context.keyword_hits.get(dim)
         score = 0.0
         if hits is not None:
-            score += weights.query_hit * len(hits.query)
-            score += weights.profile_hit * len(hits.profile)
+            score += QUERY_HIT * len(hits.query)
+            score += PROFILE_HIT * len(hits.profile)
         raw[dim] = score
     if context.time_constraint_minutes is not None:
-        raw[Dimension.URGENCY] += weights.time_constraint_bonus
+        raw[Dimension.URGENCY] += TIME_CONSTRAINT_BONUS
     if context.sentiment.total > 0:
-        raw[Dimension.VALENCE] += weights.sentiment_bonus
+        raw[Dimension.VALENCE] += SENTIMENT_BONUS
     if context.profile.goals:
-        raw[Dimension.GOAL_RELEVANCE] += weights.goals_bonus
+        raw[Dimension.GOAL_RELEVANCE] += GOALS_BONUS
     if context.profile.dietary_constraints:
-        raw[Dimension.NORMATIVE_SIGNIFICANCE] += weights.constraints_bonus
+        raw[Dimension.NORMATIVE_SIGNIFICANCE] += CONSTRAINTS_BONUS
     return raw
 
 
@@ -116,19 +109,9 @@ def normalize(raw: dict[Dimension, float]) -> dict[Dimension, float]:
     return {dim: raw[dim] / total for dim in Dimension}
 
 
-def dominant_dimensions(
-    weights: dict[Dimension, float],
-    k: int = 3,
-    threshold: float | None = None,
-) -> tuple[Dimension, ...]:
-    """Top-k dimensions by weight, ties broken by the fixed dimension order.
-
-    When ``threshold`` is given it replaces top-k selection: every dimension
-    whose weight reaches the threshold is kept, in the same ordering.
-    """
+def dominant_dimensions(weights: dict[Dimension, float], k: int = 3) -> tuple[Dimension, ...]:
+    """Top-k dimensions by weight, ties broken by the fixed dimension order."""
     ordered = sorted(Dimension, key=lambda dim: (-weights[dim], dim.order))
-    if threshold is not None:
-        return tuple(dim for dim in ordered if weights[dim] >= threshold)
     return tuple(ordered[: max(0, k)])
 
 
@@ -138,35 +121,33 @@ def compute_salience(
     scorer: str = SCORER_LEXICAL,
     *,
     k: int = 3,
-    threshold: float | None = None,
-    endpoint: EntailmentEndpoint | None = None,
     fallback: bool = False,
-    lexical_weights: LexicalWeights = LexicalWeights(),
 ) -> SalienceProfile:
     """Run the selected scorer, normalize, and pick dominant dimensions.
 
-    With ``fallback`` enabled, an unreachable remote scorer degrades to the
+    The remote scorer reads its endpoint from ``APPRAISAL_NLI_URL``. With
+    ``fallback`` enabled, an unreachable remote scorer degrades to the
     lexical scorer and the scorer_id records that it did.
     """
     if scorer == SCORER_LEXICAL:
-        raw = lexical_salience(context, registry, lexical_weights)
+        raw = lexical_salience(context, registry)
         scorer_id = SCORER_LEXICAL
-    elif scorer in ("remote", SCORER_REMOTE):
+    elif scorer == "remote":
         try:
-            ep = endpoint or EntailmentEndpoint.from_env()
-            if ep is None:
+            endpoint = EntailmentEndpoint.from_env()
+            if endpoint is None:
                 raise ScorerUnavailable(
                     "entailment endpoint not configured (set APPRAISAL_NLI_URL)"
                 )
-            raw = remote_entailment_salience(context, registry, ep)
+            raw = remote_entailment_salience(context, registry, endpoint)
             scorer_id = SCORER_REMOTE
         except ScorerUnavailable:
             if not fallback:
                 raise
-            raw = lexical_salience(context, registry, lexical_weights)
+            raw = lexical_salience(context, registry)
             scorer_id = SCORER_FALLBACK
     else:
         raise ConfigError(f"unknown scorer {scorer!r} (expected 'lexical' or 'remote')")
     weights = normalize(raw)
-    dominant = dominant_dimensions(weights, k=k, threshold=threshold)
+    dominant = dominant_dimensions(weights, k=k)
     return SalienceProfile(weights=weights, dominant=dominant, scorer_id=scorer_id)

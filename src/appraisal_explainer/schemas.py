@@ -44,8 +44,8 @@ REGISTRY_SCHEMA = {
                 "type": "object",
                 "properties": {
                     "id": _DIMENSION_ENUM,
-                    "display_name": {"type": "string"},
-                    # Empty keeps the bundled statement; whitespace alone is rejected.
+                    # Empty keeps the bundled text; whitespace alone is rejected.
+                    "display_name": {"type": "string", "pattern": "^$|\\S"},
                     "canonical_statement": {"type": "string", "pattern": "^$|\\S"},
                 },
                 "required": ["id"],
@@ -153,32 +153,9 @@ CONFIG_SCHEMA = {
         "scorer": {"type": "string", "enum": ["lexical", "remote"]},
         "realizer": {"type": "string", "enum": ["template", "llm"]},
         "top_k": {"type": "integer", "minimum": 1, "maximum": 6},
-        "threshold": {"type": ["number", "null"], "minimum": 0, "maximum": 1},
         "fallback": {"type": "boolean"},
         "filter_normative": {"type": "boolean"},
         "format": {"type": "string", "enum": ["json", "text"]},
-        "scoring": {
-            "type": "object",
-            "properties": {
-                "urgency_time_weight": {"type": "number", "minimum": 0, "maximum": 1},
-                "urgency_keyword_weight": {"type": "number", "minimum": 0, "maximum": 1},
-                "urgency_keyword_saturation": {"type": "number", "minimum": 1},
-                "agency_saturation": {"type": "number", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "salience": {
-            "type": "object",
-            "properties": {
-                "query_hit": {"type": "number", "minimum": 0},
-                "profile_hit": {"type": "number", "minimum": 0},
-                "time_constraint_bonus": {"type": "number", "minimum": 0},
-                "sentiment_bonus": {"type": "number", "minimum": 0},
-                "goals_bonus": {"type": "number", "minimum": 0},
-                "constraints_bonus": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
     },
     "additionalProperties": False,
 }

@@ -17,14 +17,11 @@ from .registry import Dimension
 from .salience import SalienceProfile
 
 
-@dataclass(frozen=True)
-class ScoringConstants:
-    """Tunable constants of the per-dimension scoring formulas."""
-
-    urgency_time_weight: float = 0.7
-    urgency_keyword_weight: float = 0.3
-    urgency_keyword_saturation: float = 2.0
-    agency_saturation: float = 3.0
+# Constants of the per-dimension scoring formulas.
+URGENCY_TIME_WEIGHT = 0.7
+URGENCY_KEYWORD_WEIGHT = 0.3
+URGENCY_KEYWORD_SATURATION = 2.0
+AGENCY_SATURATION = 3.0
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ def _unique(values) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _score_urgency(candidate, context, lexicons, constants):
+def _score_urgency(candidate, context, lexicons):
     limit = context.time_constraint_minutes
     prep = candidate.prep_time_minutes
     if limit is None:
@@ -117,10 +114,9 @@ def _score_urgency(candidate, context, lexicons, constants):
         else:
             time_evidence = f"prep time {prep} min exceeds the {limit} minutes available"
     hits = sorted(lexicons.words_for(Dimension.URGENCY) & candidate_terms(candidate))
-    keyword_part = min(1.0, len(hits) / constants.urgency_keyword_saturation)
+    keyword_part = min(1.0, len(hits) / URGENCY_KEYWORD_SATURATION)
     score = _clamp01(
-        constants.urgency_time_weight * time_fit
-        + constants.urgency_keyword_weight * keyword_part
+        URGENCY_TIME_WEIGHT * time_fit + URGENCY_KEYWORD_WEIGHT * keyword_part
     )
     evidence = [time_evidence]
     if hits:
@@ -169,13 +165,13 @@ def _score_predictability(candidate, context):
     return score, ("shares familiar items: " + ", ".join(shared),)
 
 
-def _score_agency(candidate, lexicons, constants):
+def _score_agency(candidate, lexicons):
     tag_tokens: set[str] = set()
     for tag in candidate.tags:
         tag_tokens.update(tokenize(tag))
     hits = sorted(lexicons.words_for(Dimension.AGENCY) & tag_tokens)
     total = candidate.customization_options + len(hits)
-    score = min(1.0, total / constants.agency_saturation)
+    score = min(1.0, total / AGENCY_SATURATION)
     evidence: list[str] = []
     if candidate.customization_options > 0:
         evidence.append(f"{candidate.customization_options} documented customization options")
@@ -229,11 +225,10 @@ def score_dimension(
     dim: Dimension,
     context: UnifiedContext,
     lexicons: Lexicons,
-    constants: ScoringConstants = ScoringConstants(),
 ) -> tuple[float, tuple[str, ...]]:
     """Score ``candidate`` on one dimension; returns (score in [0,1], evidence)."""
     if dim == Dimension.URGENCY:
-        return _score_urgency(candidate, context, lexicons, constants)
+        return _score_urgency(candidate, context, lexicons)
     if dim == Dimension.GOAL_RELEVANCE:
         return _score_goal_relevance(candidate, context)
     if dim == Dimension.VALENCE:
@@ -241,7 +236,7 @@ def score_dimension(
     if dim == Dimension.PREDICTABILITY_SURPRISE:
         return _score_predictability(candidate, context)
     if dim == Dimension.AGENCY:
-        return _score_agency(candidate, lexicons, constants)
+        return _score_agency(candidate, lexicons)
     return _score_normative(candidate, context)
 
 
@@ -249,13 +244,12 @@ def appraisal_vector(
     candidate: Candidate,
     context: UnifiedContext,
     lexicons: Lexicons,
-    constants: ScoringConstants = ScoringConstants(),
 ) -> AppraisalVector:
     """All six dimension scores for one candidate."""
     scores: dict[Dimension, float] = {}
     evidence: dict[Dimension, tuple[str, ...]] = {}
     for dim in Dimension:
-        score, hints = score_dimension(candidate, dim, context, lexicons, constants)
+        score, hints = score_dimension(candidate, dim, context, lexicons)
         scores[dim] = score
         evidence[dim] = hints
     return AppraisalVector(candidate_id=candidate.id, scores=scores, evidence=evidence)
@@ -314,7 +308,6 @@ def rank_candidates(
     salience: SalienceProfile,
     *,
     lexicons: Lexicons,
-    constants: ScoringConstants = ScoringConstants(),
     filter_normative: bool = True,
 ) -> RankedList:
     """Score and rank a candidate set against the context and salience profile."""
@@ -325,8 +318,5 @@ def rank_candidates(
         if candidate.id in seen:
             raise DuplicateCandidate(f"duplicate candidate id: {candidate.id!r}")
         seen.add(candidate.id)
-    vectors = [
-        appraisal_vector(candidate, context, lexicons, constants)
-        for candidate in candidates
-    ]
+    vectors = [appraisal_vector(candidate, context, lexicons) for candidate in candidates]
     return rank_vectors(vectors, candidates, salience, filter_normative=filter_normative)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,13 +6,17 @@ import jsonschema
 import pytest
 
 from appraisal_explainer.cli import main
-from appraisal_explainer.schemas import SCHEMAS
+from appraisal_explainer.config import PATH_KEYS, resolve_config
+from appraisal_explainer.schemas import CONFIG_SCHEMA, SCHEMAS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def _run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -276,28 +281,66 @@ def test_commands_byte_stable(capsys, fixture_files):
 def test_config_file_flow(capsys, fixture_files, tmp_path):
     profile, query, candidates = fixture_files("sarah")
     config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "paths": {"profile": profile, "candidates": candidates},
-                "top_k": 2,
-                "format": "json",
-            }
+    # JSON Schema counts 2.0 as an integer, so it must run as 2.
+    for top_k in (2, 2.0):
+        config.write_text(
+            json.dumps(
+                {
+                    "paths": {"profile": profile, "candidates": candidates},
+                    "top_k": top_k,
+                    "format": "json",
+                }
+            )
         )
-    )
-    code, out, _ = _run(capsys, ["salience", "--config", str(config), "--query", query])
-    assert code == 0
-    assert len(json.loads(out)["dominant"]) == 2
+        code, out, err = _run(capsys, ["salience", "--config", str(config), "--query", query])
+        assert code == 0, err
+        assert len(json.loads(out)["dominant"]) == 2
 
 
-def test_config_rejects_bad_top_k(capsys, fixture_files):
+def test_config_sets_every_schema_key(tmp_path):
+    paths = {key: str(tmp_path / f"{key}.json") for key in PATH_KEYS}
+    for path in paths.values():
+        Path(path).write_text("{}")
+    doc = {
+        "paths": paths,
+        "scorer": "remote",
+        "realizer": "llm",
+        "top_k": 4,
+        "fallback": True,
+        "filter_normative": False,
+        "format": "json",
+    }
+    assert set(doc) == set(CONFIG_SCHEMA["properties"])
+    assert set(paths) == set(CONFIG_SCHEMA["properties"]["paths"]["properties"])
+    # Every value differs from its default, and RunConfig has no other field.
+    assert dataclasses.asdict(resolve_config(doc, {}, out_dir=str(tmp_path))) == {
+        **{f"{key}_path": path for key, path in paths.items()},
+        **{key: value for key, value in doc.items() if key != "paths"},
+        "out_dir": str(tmp_path),
+    }
+
+
+@pytest.mark.parametrize(
+    "config, flags, named",
+    [
+        ({}, ["--top-k", "9"], "top_k"),
+        ({"threshold": 0.3}, [], "threshold"),
+        ({"scoring": {"agency_saturation": 3.0}}, [], "scoring"),
+        ({"salience": {"query_hit": 2.0}}, [], "salience"),
+        ({}, ["--threshold", "0.3"], "--threshold"),
+    ],
+    ids=["top_k", "threshold", "scoring", "salience", "threshold-flag"],
+)
+def test_config_rejects_bad_top_k(capsys, fixture_files, tmp_path, config, flags, named):
     profile, query, _ = fixture_files("sarah")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     code, _, err = _run(
         capsys,
-        ["salience", "--profile", profile, "--query", query, "--top-k", "9"],
+        ["salience", "--config", str(path), "--profile", profile, "--query", query, *flags],
     )
     assert code == 2
-    assert "top_k" in err
+    assert named in err
 
 
 @pytest.mark.parametrize(
@@ -306,8 +349,10 @@ def test_config_rejects_bad_top_k(capsys, fixture_files):
         ("--registry", {"dimensions": ["x"]}, "registry $.dimensions[0]:"),
         ("--lexicons", {"dimensions": []}, "lexicons $.dimensions:"),
         ("--prompts", {"section_labels": "x"}, "prompts $.section_labels:"),
+        ("--prompts", {"appraisal_instruction": "Why {bogus}?"}, "prompts $.appraisal_instruction:"),
+        ("--prompts", {"appraisal_instruction": "Why {candidate_name?"}, "prompts $.appraisal_instruction:"),
     ],
-    ids=["registry", "lexicons", "prompts"],
+    ids=["registry", "lexicons", "prompts", "prompts-placeholder", "prompts-braces"],
 )
 def test_malformed_override_is_an_input_error(capsys, fixture_files, tmp_path, flag, doc, path):
     profile, query, candidates = fixture_files("sarah")

@@ -118,7 +118,7 @@ def test_zero_signal_context(registry, lexicons):
     profile = UserProfile(user_id="nobody")
     query = Query(text="give me dinner")
     context = build_unified_context(profile, query, registry, lexicons)
-    assert all(not hits.all for hits in context.keyword_hits.values())
+    assert all(not (hits.query or hits.profile) for hits in context.keyword_hits.values())
     assert context.sentiment.total == 0
     assert context.time_constraint_minutes is None
 

@@ -33,10 +33,9 @@ def test_display_name_override_keeps_canonical_statement(registry):
         }
     )
     assert merged.display_name(Dimension.URGENCY) == "Time Pressure"
-    assert merged.canonical_statement(Dimension.URGENCY) == registry.canonical_statement(
-        Dimension.URGENCY
-    )
-    assert merged.dimensions[Dimension.AGENCY.order] == registry.dimensions[Dimension.AGENCY.order]
+    urgency, agency = Dimension.URGENCY.order, Dimension.AGENCY.order
+    assert merged.dimensions[urgency].canonical_statement == registry.dimensions[urgency].canonical_statement
+    assert merged.dimensions[agency] == registry.dimensions[agency]
     assert [info.id for info in merged.dimensions] == list(Dimension)
 
 
@@ -53,8 +52,6 @@ def test_items_key_rejected():
     _rejected_at({"items": [{"id": "x", "statement": "s", "dimension": "Urgency"}]}, "$")
 
 
-def test_whitespace_canonical_statement_rejected():
-    _rejected_at(
-        {"dimensions": [{"id": "Urgency", "canonical_statement": "   "}]},
-        "$.dimensions[0].canonical_statement",
-    )
+@pytest.mark.parametrize("field", ["canonical_statement", "display_name"])
+def test_whitespace_canonical_statement_rejected(field):
+    _rejected_at({"dimensions": [{"id": "Urgency", field: "   "}]}, f"$.dimensions[0].{field}")

@@ -13,7 +13,7 @@ from appraisal_explainer import (
     lexical_salience,
     normalize,
 )
-from appraisal_explainer.errors import InvalidScore, ScorerUnavailable
+from appraisal_explainer.errors import ConfigError, InvalidScore, ScorerUnavailable
 
 SARAH_QUERY = "I'm hungry and in a hurry, can you make something in 15 minutes?"
 
@@ -157,12 +157,6 @@ def test_dominant_k6_sorted_by_weight_then_order():
     )
 
 
-def test_dominant_threshold_mode():
-    weights = dict(zip(Dimension, [0.5, 0.3, 0.2, 0.0, 0.0, 0.0]))
-    selected = dominant_dimensions(weights, k=3, threshold=0.25)
-    assert selected == (Dimension.PREDICTABILITY_SURPRISE, Dimension.GOAL_RELEVANCE)
-
-
 def test_compute_salience_profile_shape(sarah_context, registry):
     profile = compute_salience(sarah_context, registry, k=3)
     assert profile.scorer_id == "lexical"
@@ -174,3 +168,9 @@ def test_compute_salience_remote_without_endpoint_raises(sarah_context, registry
     monkeypatch.delenv("APPRAISAL_NLI_URL", raising=False)
     with pytest.raises(ScorerUnavailable):
         compute_salience(sarah_context, registry, scorer="remote")
+
+
+def test_compute_salience_takes_only_lexical_or_remote(sarah_context, registry):
+    # "remote-entailment" names the remote scorer in outputs, not in inputs.
+    with pytest.raises(ConfigError, match="unknown scorer 'remote-entailment'"):
+        compute_salience(sarah_context, registry, scorer="remote-entailment")
