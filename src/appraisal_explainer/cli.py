@@ -1,6 +1,8 @@
 """Command-line surface: salience, rank, explain, scenario, schemas.
 
-Exit codes: 0 success, 1 pipeline error, 2 input or configuration error.
+Exit codes: 0 success, 1 pipeline error, 2 input or configuration error,
+141 (128 + SIGPIPE) when the reader of stdout closes it early, as
+``appraise rank ... | head -1`` does.
 All commands are byte-deterministic under the lexical scorer and template
 realizer given identical inputs and configuration.
 """
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -285,7 +288,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return COMMANDS[args.command](args, cfg)
+        code = COMMANDS[args.command](args, cfg)
+        sys.stdout.flush()  # a reader that has gone is found here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads the rest: say nothing, and send what is still buffered
+        # to devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,8 @@ from pathlib import Path
 import jsonschema
 
 from .context import UserProfile
-from .errors import ConfigError
-from .schemas import CANDIDATES_SCHEMA, CONFIG_SCHEMA, PROFILE_SCHEMA, validate
+from .errors import ConfigError, InvalidRecord
+from .schemas import CANDIDATES_SCHEMA, CONFIG_SCHEMA, PROFILE_SCHEMA, read_json, validate
 from .scoring import Candidate
 
 FORMAT_JSON = "json"
@@ -40,26 +40,36 @@ class RunConfig:
     out_dir: str | None = None
 
 
-def _validated_json(path: str | Path, schema: dict, what: str):
+def _validated_json(path: str | Path, parse, schema: dict, what: str):
+    """``parse`` of the JSON document in ``path``, which checks it against ``schema``.
+
+    ``parse`` accepts exactly what ``schema`` does, without jsonschema; a
+    document it rejects is validated again by jsonschema only to word the error.
+    """
+    doc = read_json(path, what, json.loads)  # via config.json, so a wrapper there times it
     try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"{what} file {path} failed validation: {exc.message}") from exc
-    return doc
+        return parse(doc)
+    except InvalidRecord as rejected:
+        try:
+            jsonschema.validate(doc, schema)
+        except jsonschema.ValidationError as exc:
+            raise ConfigError(f"{what} file {path} failed validation: {exc.message}") from exc
+        raise ConfigError(f"{what} file {path} failed validation: {rejected}") from rejected
+
+
+def parse_candidates(doc) -> list[Candidate]:
+    """The candidates ``doc`` lists; InvalidRecord unless ``CANDIDATES_SCHEMA`` accepts it."""
+    if not isinstance(doc, list):
+        raise InvalidRecord("a candidate set is a list")
+    return [Candidate.from_dict(record) for record in doc]
 
 
 def load_profile(path: str | Path) -> UserProfile:
-    doc = _validated_json(path, PROFILE_SCHEMA, "profile")
-    return UserProfile.from_dict(doc)
+    return _validated_json(path, UserProfile.from_dict, PROFILE_SCHEMA, "profile")
 
 
 def load_candidates(path: str | Path) -> list[Candidate]:
-    doc = _validated_json(path, CANDIDATES_SCHEMA, "candidates")
-    return [Candidate.from_dict(record) for record in doc]
+    return _validated_json(path, parse_candidates, CANDIDATES_SCHEMA, "candidates")
 
 
 def resolve_config(doc, flags: dict, out_dir: str | None = None) -> RunConfig:

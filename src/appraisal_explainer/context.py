@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import EmptyQuery
+from .errors import EmptyQuery, InvalidRecord
 from .lexicons import Lexicons
 from .registry import Dimension, Registry
 
@@ -48,6 +48,49 @@ def parse_time_constraint(text: str) -> int | None:
         if 1 <= minutes <= MAX_CONSTRAINT_MINUTES:
             return minutes
     return None
+
+
+# Field checks of the stdlib record parsers. Each accepts exactly what its
+# JSON Schema type in ``schemas.py`` accepts: bool is not an integer, a whole
+# float such as 2.0 is one, and NaN and the infinities are not.
+def is_string(value) -> bool:
+    return isinstance(value, str)
+
+
+def is_nonempty_string(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def integer_at_least(minimum: int):
+    def check(value) -> bool:
+        if isinstance(value, bool):
+            return False
+        if isinstance(value, float):
+            return value.is_integer() and value >= minimum
+        return isinstance(value, int) and value >= minimum
+
+    return check
+
+
+def check_record(record, fields: dict, required: frozenset[str], what: str) -> None:
+    """Raise InvalidRecord unless ``record`` is an object of ``fields`` with every ``required`` key.
+
+    ``fields`` maps each allowed key to the check its value must pass.
+    """
+    if not isinstance(record, dict):
+        raise InvalidRecord(f"{what} is not an object: {record!r}")
+    for key, value in record.items():
+        check = fields.get(key)
+        if check is None:
+            raise InvalidRecord(f"{what} has an unexpected key {key!r}")
+        if not check(value):
+            raise InvalidRecord(f"{what} has a bad {key!r}: {value!r}")
+    if not required <= record.keys():
+        raise InvalidRecord(f"{what} lacks one of {sorted(required)}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +147,8 @@ class UserProfile:
 
     @classmethod
     def from_dict(cls, record: dict) -> "UserProfile":
+        """The profile ``record`` holds; InvalidRecord unless ``PROFILE_SCHEMA`` accepts it."""
+        check_record(record, _PROFILE_FIELDS, _PROFILE_REQUIRED, "profile")
         return cls(
             user_id=record["user_id"],
             description=record.get("description", ""),
@@ -112,6 +157,18 @@ class UserProfile:
             dietary_constraints=tuple(record.get("dietary_constraints", ())),
             familiar_items=tuple(record.get("familiar_items", ())),
         )
+
+
+_PROFILE_FIELDS = {
+    "user_id": is_nonempty_string,
+    "description": is_string,
+    "goals": is_string_list,
+    "preference_keywords": is_string_list,
+    "dietary_constraints": is_string_list,
+    "familiar_items": is_string_list,
+    "history_queries": is_string_list,
+}
+_PROFILE_REQUIRED = frozenset({"user_id"})
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ class ConfigError(InputError):
     """Malformed or out-of-range configuration."""
 
 
+class InvalidRecord(InputError):
+    """A profile or candidate record that its published schema does not accept."""
+
+
 class UnknownDimension(InputError):
     """A record references a dimension id outside the closed set of six."""
 

@@ -1,15 +1,14 @@
 """HTTP clients for the entailment scorer and the chat-completion realizer.
 
 Both clients are stateless: one blocking request per call, configurable
-timeout, no shared mutable state, so concurrent calls are safe.
+timeout, no shared mutable state, so concurrent calls are safe. Each imports
+``requests`` when it is called, so runs that use no remote service never load it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-import requests
 
 from .errors import ProtocolError, RealizerUnavailable, ScorerUnavailable
 
@@ -67,6 +66,8 @@ def request_entailment_scores(
     Scores are keyed, never positional: the mapping comes from the
     ``dimension`` field of each response entry regardless of order.
     """
+    import requests
+
     payload = {
         "model": endpoint.model,
         "premise": premise,
@@ -104,6 +105,8 @@ def request_chat_completion(endpoint: ChatEndpoint, system: str, user: str) -> s
 
     The text may be empty; callers decide whether that is an error.
     """
+    import requests
+
     payload = {
         "model": endpoint.model,
         "messages": [

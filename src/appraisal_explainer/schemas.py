@@ -300,14 +300,18 @@ def load_document(source: str | Path | dict, what: str, schema: dict | None = No
 
     With ``schema``, the document is validated against it as ``validate`` does.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = json.loads(Path(source).read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what} file {source} is not valid JSON: {exc}") from exc
+    doc = source if isinstance(source, dict) else read_json(source, what)
     return doc if schema is None else validate(doc, schema, what)
+
+
+def read_json(path: str | Path, what: str, loads=json.loads):
+    """The document ``loads`` parses from the file ``path``; ConfigError unless it is UTF-8 JSON."""
+    try:
+        return loads(Path(path).read_text("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid UTF-8 JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 def validate(doc, schema: dict, what: str):

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import UnifiedContext, tally_sentiment, tokenize
+from .context import (
+    UnifiedContext, check_record, integer_at_least, is_nonempty_string, is_string,
+    is_string_list, tally_sentiment, tokenize,
+)
 from .errors import DuplicateCandidate, IncompleteVector, NoCandidates
 from .lexicons import Lexicons
 from .registry import Dimension
@@ -38,15 +41,29 @@ class Candidate:
 
     @classmethod
     def from_dict(cls, record: dict) -> "Candidate":
+        """The candidate ``record`` holds; InvalidRecord unless ``CANDIDATE_SCHEMA`` accepts it."""
+        check_record(record, _CANDIDATE_FIELDS, _CANDIDATE_REQUIRED, "candidate")
         return cls(
             id=record["id"],
             name=record["name"],
             description=record.get("description", ""),
-            prep_time_minutes=int(record.get("prep_time_minutes", 1)),
+            prep_time_minutes=int(record["prep_time_minutes"]),
             ingredients=tuple(record.get("ingredients", ())),
             tags=tuple(record.get("tags", ())),
             customization_options=int(record.get("customization_options", 0)),
         )
+
+
+_CANDIDATE_FIELDS = {
+    "id": is_nonempty_string,
+    "name": is_nonempty_string,
+    "description": is_string,
+    "prep_time_minutes": integer_at_least(1),
+    "ingredients": is_string_list,
+    "tags": is_string_list,
+    "customization_options": integer_at_least(0),
+}
+_CANDIDATE_REQUIRED = frozenset({"id", "name", "prep_time_minutes"})
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -367,3 +370,101 @@ def test_malformed_override_is_an_input_error(capsys, fixture_files, tmp_path, f
     )
     assert code == 2
     assert path in err
+
+
+# Exit code and stderr of each malformed document, recorded by running
+# `rank` on the source from before the stdlib record checks replaced
+# jsonschema on the loaders' success path. <F> stands for the file's path.
+_REJECTED = [
+    ("candidates", '{"id": "a", "name": "A", "prep_time_minutes": 5}',
+     "{'id': 'a', 'name': 'A', 'prep_time_minutes': 5} is not of type 'array'"),
+    ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": true}]',
+     "True is not of type 'integer'"),
+    ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 0}]',
+     "0 is less than the minimum of 1"),
+    ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 2.5}]',
+     "2.5 is not of type 'integer'"),
+    ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": NaN}]',
+     "nan is not of type 'integer'"),
+    ("candidates", '[{"id": "", "name": "A", "prep_time_minutes": 5}]',
+     "'' should be non-empty"),
+    ("candidates", '[{"id": "a", "prep_time_minutes": 5}]',
+     "'name' is a required property"),
+    ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 5, "price": 3}]',
+     "Additional properties are not allowed ('price' was unexpected)"),
+    ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 5, "tags": "quick"}]',
+     "'quick' is not of type 'array'"),
+    ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 5}, '
+     '{"id": "b", "name": "B", "prep_time_minutes": 5, "ingredients": ["rice", 1]}]',
+     "1 is not of type 'string'"),
+    ("candidates", '[{"id": "", "name": "A", "prep_time_minutes": 0, "tags": "x"}]',
+     "'x' is not of type 'array'"),
+    ("profile", '["u"]', "['u'] is not of type 'object'"),
+    ("profile", '{"user_id": ""}', "'' should be non-empty"),
+    ("profile", '{"goals": []}', "'user_id' is a required property"),
+    ("profile", '{"user_id": "u", "age": 30}',
+     "Additional properties are not allowed ('age' was unexpected)"),
+    ("profile", '{"user_id": "u", "familiar_items": ["pasta", true]}',
+     "True is not of type 'string'"),
+]
+
+
+@pytest.mark.parametrize(
+    "what, text, message",
+    _REJECTED,
+    ids=[
+        "not-a-list", "bool-prep", "zero-prep", "fraction-prep", "nan-prep", "empty-id",
+        "missing-name", "extra-key", "string-tags", "number-ingredient", "two-faults",
+        "profile-not-object", "empty-user-id", "missing-user-id", "profile-extra-key",
+        "bool-familiar-item",
+    ],
+)
+def test_rejected_document_error_is_unchanged(capsys, fixture_files, tmp_path, what, text, message):
+    profile, query, candidates = fixture_files("sarah")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    paths = {"profile": profile, "candidates": candidates, what: str(bad)}
+    code, out, err = _run(
+        capsys,
+        [
+            "rank", "--profile", paths["profile"], "--query", query,
+            "--candidates", paths["candidates"], "--format", "json",
+        ],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} file {bad} failed validation: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--candidates", "--profile", "--config"])
+def test_non_utf8_input_is_an_input_error(capsys, fixture_files, tmp_path, flag):
+    profile, query, candidates = fixture_files("sarah")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[]")
+    args = {"--profile": profile, "--candidates": candidates, flag: str(bad)}
+    code, _, err = _run(
+        capsys, ["rank", "--query", query, *(item for pair in args.items() for item in pair)]
+    )
+    assert code == 2
+    assert err.startswith(f"error: {flag[2:]} file {bad} is not valid UTF-8 JSON: ")
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    import appraisal_explainer
+
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"user_id": "u"}))
+    candidates = tmp_path / "candidates.json"
+    # Far more JSON than a pipe buffers, so the writer meets the closed pipe.
+    candidates.write_text(json.dumps(
+        [{"id": f"c{i}", "name": f"Dish {i}", "prep_time_minutes": 10} for i in range(500)]
+    ))
+    env = {**os.environ, "PYTHONPATH": str(Path(appraisal_explainer.__file__).parents[1])}
+    argv = [
+        sys.executable, "-m", "appraisal_explainer.cli", "rank", "--profile", str(profile),
+        "--query", "dinner", "--candidates", str(candidates), "--format", "json",
+    ]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""

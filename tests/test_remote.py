@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import appraisal_explainer
+from appraisal_explainer import explanation, salience
 from appraisal_explainer import (
     Dimension,
     build_prompt,
@@ -17,7 +24,12 @@ from appraisal_explainer.errors import (
     ScorerUnavailable,
 )
 from appraisal_explainer.explanation import MODE_APPRAISAL, build_plan
-from appraisal_explainer.remote import ChatEndpoint, EntailmentEndpoint
+from appraisal_explainer.remote import (
+    ChatEndpoint,
+    EntailmentEndpoint,
+    request_chat_completion,
+    request_entailment_scores,
+)
 from appraisal_explainer.runlog import RunLog
 from appraisal_explainer.scoring import rank_candidates
 
@@ -184,3 +196,16 @@ def test_llm_auth_header_sent(sarah_bundle):
         realize_llm(bundle, endpoint)
         headers = server.headers[0]
     assert headers.get("Authorization") == "Bearer secret-key"
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # Only the two remote clients need requests, and they import it when called.
+    probe = "import sys, appraisal_explainer.cli; print('requests' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(appraisal_explainer.__file__).parents[1])},
+    )
+    assert done.stdout == "False\n"
+    assert salience.request_entailment_scores is request_entailment_scores
+    assert explanation.request_chat_completion is request_chat_completion
