@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .config import FORMAT_JSON, RunConfig, load_candidates, load_profile, resolve_config
@@ -91,8 +92,20 @@ def _require(value, flag: str):
     return value
 
 
+def _dump_json(payload, stream) -> None:
+    """Write ``payload`` as indented JSON and a newline, block by block.
+
+    The document is never held as one string; each write joins up to 65,536
+    encoder chunks, so an unbuffered stream still sees few write calls.
+    """
+    chunks = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(payload)
+    while block := "".join(islice(chunks, 65536)):
+        stream.write(block)
+    stream.write("\n")
+
+
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    _dump_json(payload, sys.stdout)
 
 
 def _out_dir(cfg: RunConfig, default: Path | None = None) -> Path | None:
@@ -106,7 +119,8 @@ def _out_dir(cfg: RunConfig, default: Path | None = None) -> Path | None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", "utf-8")
+    with path.open("w", encoding="utf-8") as stream:
+        _dump_json(payload, stream)
 
 
 def write_artifacts(out: Path, result: PipelineResult, runlog: RunLog) -> None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EmptyQuery, InvalidRecord
 from .lexicons import Lexicons
@@ -18,13 +19,17 @@ MAX_CONSTRAINT_MINUTES = 24 * 60
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # Recognized duration forms: "<N> minutes", "<N> min(s)", "<N>-minute",
-# "half an hour" (30) and "an hour" (60). First match in text order wins.
+# "<N> hour(s)", "<N>-hour", "half an hour" (30), "quarter of an hour" (15)
+# and "an hour" (60). First match in text order wins.
 _DURATION_RE = re.compile(
     r"(\d+)\s*-?\s*min(?:ute)?s?\b"
+    r"|(\d+)\s*-?\s*hours?\b"
     r"|\bhalf\s+an\s+hour\b"
+    r"|\bquarter\s+of\s+an\s+hour\b"
     r"|\ban\s+hour\b",
     re.IGNORECASE,
 )
+_WORDED_MINUTES = {"half": 30, "quarter": 15, "an": 60}
 
 
 def tokenize(text: str) -> list[str]:
@@ -41,10 +46,13 @@ def parse_time_constraint(text: str) -> int | None:
     if not text:
         return None
     for match in _DURATION_RE.finditer(text):
-        digits = match.group(1)
-        if digits is None:
-            return 30 if match.group(0).lower().lstrip().startswith("half") else 60
-        minutes = int(digits)
+        minutes_digits, hours_digits = match.groups()
+        if minutes_digits is not None:
+            minutes = int(minutes_digits)
+        elif hours_digits is not None:
+            minutes = int(hours_digits) * 60
+        else:
+            return _WORDED_MINUTES[match.group(0).split()[0].lower()]
         if 1 <= minutes <= MAX_CONSTRAINT_MINUTES:
             return minutes
     return None
@@ -119,9 +127,14 @@ class SentimentTally:
 
 def tally_sentiment(text: str, lexicons: Lexicons) -> SentimentTally:
     """Count positive/negative lexicon words in ``text``, once per occurrence."""
+    return tally_sentiment_tokens(tokenize(text), lexicons)
+
+
+def tally_sentiment_tokens(tokens, lexicons: Lexicons) -> SentimentTally:
+    """Count positive/negative lexicon words among ``tokens``, in order."""
     positive: list[str] = []
     negative: list[str] = []
-    for token in tokenize(text):
+    for token in tokens:
         if token in lexicons.positive:
             positive.append(token)
         elif token in lexicons.negative:
@@ -157,6 +170,19 @@ class UserProfile:
             dietary_constraints=tuple(record.get("dietary_constraints", ())),
             familiar_items=tuple(record.get("familiar_items", ())),
         )
+
+    # Derived once per profile, not once per scored candidate.
+    @cached_property
+    def unique_goals(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(self.goals))
+
+    @cached_property
+    def unique_constraints(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(self.dietary_constraints))
+
+    @cached_property
+    def familiar_set(self) -> frozenset[str]:
+        return frozenset(self.familiar_items)
 
 
 _PROFILE_FIELDS = {

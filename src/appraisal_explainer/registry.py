@@ -37,7 +37,10 @@ class Dimension(str, Enum):
         return _DIMENSION_ORDER[self]
 
 
-_DIMENSION_ORDER = {dim: idx for idx, dim in enumerate(Dimension)}
+# The dimensions in canonical order; iterating a tuple is far cheaper than
+# iterating the Enum class in per-candidate loops.
+DIMENSIONS = tuple(Dimension)
+_DIMENSION_ORDER = {dim: idx for idx, dim in enumerate(DIMENSIONS)}
 
 
 @dataclass(frozen=True)

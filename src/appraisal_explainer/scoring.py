@@ -8,15 +8,18 @@ so results are bit-reproducible.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .context import (
     UnifiedContext, check_record, integer_at_least, is_nonempty_string, is_string,
-    is_string_list, tally_sentiment, tokenize,
+    is_string_list, tally_sentiment_tokens, tokenize,
 )
 from .errors import DuplicateCandidate, IncompleteVector, NoCandidates
 from .lexicons import Lexicons
-from .registry import Dimension
+from .registry import DIMENSIONS, Dimension
 from .salience import SalienceProfile
 
 
@@ -25,6 +28,31 @@ URGENCY_TIME_WEIGHT = 0.7
 URGENCY_KEYWORD_WEIGHT = 0.3
 URGENCY_KEYWORD_SATURATION = 2.0
 AGENCY_SATURATION = 3.0
+
+
+def _interned(values) -> tuple[str, ...]:
+    return tuple(map(sys.intern, values))
+
+
+def _unique_tokens(texts) -> tuple[str, ...]:
+    return _interned(dict.fromkeys(token for text in texts for token in tokenize(text)))
+
+
+class CandidateFeatures(NamedTuple):
+    """The query-independent tokens the scorers read, derived once per candidate.
+
+    Tuples of interned strings, not sets: a catalog shares most of its
+    vocabulary, so each candidate keeps only the tuples' pointers. A named
+    tuple because defining a dataclass adds about 1 ms to every command's
+    import.
+    """
+
+    terms: tuple[str, ...]  # unique tokens of name, description and tags
+    tag_tokens: tuple[str, ...]  # unique tokens of the tags
+    item_tokens: tuple[str, ...]  # unique tokens of the tags and ingredients
+    items: tuple[str, ...]  # unique stripped, lower-cased, non-empty tags and ingredients
+    tags_lower: tuple[str, ...]  # unique stripped, lower-cased tags
+    description_tokens: tuple[str, ...]  # tokens of the description, in order
 
 
 @dataclass(frozen=True)
@@ -51,6 +79,20 @@ class Candidate:
             ingredients=tuple(record.get("ingredients", ())),
             tags=tuple(record.get("tags", ())),
             customization_options=int(record.get("customization_options", 0)),
+        )
+
+    @cached_property
+    def features(self) -> CandidateFeatures:
+        """Built on first use and kept: the candidate is immutable, so they never go stale."""
+        tags, values = self.tags, self.tags + self.ingredients
+        cleaned = (value.strip().lower() for value in values)
+        return CandidateFeatures(
+            terms=_unique_tokens((self.name, self.description, *tags)),
+            tag_tokens=_unique_tokens(tags),
+            item_tokens=_unique_tokens(values),
+            items=_interned(dict.fromkeys(value for value in cleaned if value)),
+            tags_lower=_interned(dict.fromkeys(tag.strip().lower() for tag in tags)),
+            description_tokens=_interned(tokenize(self.description)),
         )
 
 
@@ -99,25 +141,6 @@ def _clamp01(value: float) -> float:
     return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
-def candidate_terms(candidate: Candidate) -> frozenset[str]:
-    """Token set of name, description, and tags (ingredients excluded)."""
-    tokens = tokenize(candidate.name)
-    tokens += tokenize(candidate.description)
-    for tag in candidate.tags:
-        tokens += tokenize(tag)
-    return frozenset(tokens)
-
-
-def _unique(values) -> tuple[str, ...]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for value in values:
-        if value not in seen:
-            seen.add(value)
-            out.append(value)
-    return tuple(out)
-
-
 def _score_urgency(candidate, context, lexicons):
     limit = context.time_constraint_minutes
     prep = candidate.prep_time_minutes
@@ -130,7 +153,7 @@ def _score_urgency(candidate, context, lexicons):
             time_evidence = f"prep time {prep} min is within the {limit} minutes available"
         else:
             time_evidence = f"prep time {prep} min exceeds the {limit} minutes available"
-    hits = sorted(lexicons.words_for(Dimension.URGENCY) & candidate_terms(candidate))
+    hits = sorted(lexicons.words_for(Dimension.URGENCY).intersection(candidate.features.terms))
     keyword_part = min(1.0, len(hits) / URGENCY_KEYWORD_SATURATION)
     score = _clamp01(
         URGENCY_TIME_WEIGHT * time_fit + URGENCY_KEYWORD_WEIGHT * keyword_part
@@ -141,11 +164,11 @@ def _score_urgency(candidate, context, lexicons):
     return score, tuple(evidence)
 
 
-def _score_goal_relevance(candidate, context):
-    goals = _unique(context.profile.goals)
+def _score_goal_relevance(candidate, context, lexicons):
+    goals = context.profile.unique_goals
     if not goals:
         return 0.0, ()
-    terms = candidate_terms(candidate)
+    terms = candidate.features.terms
     matched = sorted(goal for goal in goals if goal in terms)
     score = _clamp01(len(matched) / max(1, len(goals)))
     if not matched:
@@ -153,8 +176,8 @@ def _score_goal_relevance(candidate, context):
     return score, ("matches your goals: " + ", ".join(matched),)
 
 
-def _score_valence(candidate, lexicons):
-    tally = tally_sentiment(candidate.description, lexicons)
+def _score_valence(candidate, context, lexicons):
+    tally = tally_sentiment_tokens(candidate.features.description_tokens, lexicons)
     pos, neg = tally.positive_hits, tally.negative_hits
     score = _clamp01(0.5 + 0.5 * (pos - neg) / max(1, pos + neg))
     if tally.total == 0:
@@ -165,28 +188,21 @@ def _score_valence(candidate, lexicons):
     return score, (evidence,)
 
 
-def _score_predictability(candidate, context):
-    candidate_set = {
-        value.strip().lower()
-        for value in candidate.tags + candidate.ingredients
-        if value.strip()
-    }
-    familiar = set(context.profile.familiar_items)
-    union = candidate_set | familiar
+def _score_predictability(candidate, context, lexicons):
+    items = candidate.features.items
+    familiar = context.profile.familiar_set
+    shared = sorted(familiar.intersection(items))
+    union = len(items) + len(familiar) - len(shared)
     if not union:
         return 0.0, ()
-    shared = sorted(candidate_set & familiar)
-    score = _clamp01(len(shared) / len(union))
+    score = _clamp01(len(shared) / union)
     if not shared:
         return score, ()
     return score, ("shares familiar items: " + ", ".join(shared),)
 
 
-def _score_agency(candidate, lexicons):
-    tag_tokens: set[str] = set()
-    for tag in candidate.tags:
-        tag_tokens.update(tokenize(tag))
-    hits = sorted(lexicons.words_for(Dimension.AGENCY) & tag_tokens)
+def _score_agency(candidate, context, lexicons):
+    hits = sorted(lexicons.words_for(Dimension.AGENCY).intersection(candidate.features.tag_tokens))
     total = candidate.customization_options + len(hits)
     score = min(1.0, total / AGENCY_SATURATION)
     evidence: list[str] = []
@@ -205,8 +221,8 @@ def _constraint_satisfied(constraint: str, candidate: Candidate) -> tuple[bool, 
     satisfied when <word> appears nowhere in the tag/ingredient tokens; any
     other untagged constraint is a violation.
     """
-    tags_lower = {tag.strip().lower() for tag in candidate.tags}
-    if constraint in tags_lower:
+    features = candidate.features
+    if constraint in features.tags_lower:
         return True, ""
     banned = None
     if constraint.startswith("no-"):
@@ -214,17 +230,14 @@ def _constraint_satisfied(constraint: str, candidate: Candidate) -> tuple[bool, 
     elif constraint.endswith("-free"):
         banned = constraint[: -len("-free")]
     if banned:
-        item_tokens: set[str] = set()
-        for value in candidate.tags + candidate.ingredients:
-            item_tokens.update(tokenize(value))
-        if banned in item_tokens:
+        if banned in features.item_tokens:
             return False, f"contains {banned}"
         return True, ""
     return False, f"not tagged {constraint}"
 
 
-def _score_normative(candidate, context):
-    constraints = _unique(context.profile.dietary_constraints)
+def _score_normative(candidate, context, lexicons):
+    constraints = context.profile.unique_constraints
     if not constraints:
         return 1.0, ("no dietary constraints apply",)
     violations = []
@@ -237,6 +250,17 @@ def _score_normative(candidate, context):
     return 1.0, ("satisfies dietary constraints: " + ", ".join(constraints),)
 
 
+# Each dimension's scorer; all take (candidate, context, lexicons).
+_SCORERS = {
+    Dimension.PREDICTABILITY_SURPRISE: _score_predictability,
+    Dimension.GOAL_RELEVANCE: _score_goal_relevance,
+    Dimension.VALENCE: _score_valence,
+    Dimension.URGENCY: _score_urgency,
+    Dimension.AGENCY: _score_agency,
+    Dimension.NORMATIVE_SIGNIFICANCE: _score_normative,
+}
+
+
 def score_dimension(
     candidate: Candidate,
     dim: Dimension,
@@ -244,17 +268,7 @@ def score_dimension(
     lexicons: Lexicons,
 ) -> tuple[float, tuple[str, ...]]:
     """Score ``candidate`` on one dimension; returns (score in [0,1], evidence)."""
-    if dim == Dimension.URGENCY:
-        return _score_urgency(candidate, context, lexicons)
-    if dim == Dimension.GOAL_RELEVANCE:
-        return _score_goal_relevance(candidate, context)
-    if dim == Dimension.VALENCE:
-        return _score_valence(candidate, lexicons)
-    if dim == Dimension.PREDICTABILITY_SURPRISE:
-        return _score_predictability(candidate, context)
-    if dim == Dimension.AGENCY:
-        return _score_agency(candidate, lexicons)
-    return _score_normative(candidate, context)
+    return _SCORERS[dim](candidate, context, lexicons)
 
 
 def appraisal_vector(
@@ -265,10 +279,8 @@ def appraisal_vector(
     """All six dimension scores for one candidate."""
     scores: dict[Dimension, float] = {}
     evidence: dict[Dimension, tuple[str, ...]] = {}
-    for dim in Dimension:
-        score, hints = score_dimension(candidate, dim, context, lexicons)
-        scores[dim] = score
-        evidence[dim] = hints
+    for dim in DIMENSIONS:
+        scores[dim], evidence[dim] = _SCORERS[dim](candidate, context, lexicons)
     return AppraisalVector(candidate_id=candidate.id, scores=scores, evidence=evidence)
 
 
@@ -278,16 +290,13 @@ def composite_score(vector: AppraisalVector, salience: SalienceProfile) -> float
     Clamped to [0, 1]: weights that sum to 1 can add up to just above it in
     floating point (0.4 + 0.2 + 0.3 + 0.1 is 1.0000000000000002).
     """
-    missing = [
-        dim.value
-        for dim in Dimension
-        if dim not in vector.scores or dim not in salience.weights
-    ]
+    scores, weights = vector.scores, salience.weights
+    missing = [dim.value for dim in DIMENSIONS if dim not in scores or dim not in weights]
     if missing:
         raise IncompleteVector(f"missing dimensions: {missing}")
     total = 0.0
-    for dim in Dimension:
-        total += salience.weights[dim] * vector.scores[dim]
+    for dim in DIMENSIONS:
+        total += weights[dim] * scores[dim]
     return _clamp01(total)
 
 

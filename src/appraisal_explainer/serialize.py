@@ -7,15 +7,19 @@ byte-stable for identical inputs.
 from __future__ import annotations
 
 from .explanation import ComparisonReport, ExplanationPlan, MentionReport
-from .registry import Dimension
+from .registry import DIMENSIONS
 from .salience import SalienceProfile
 from .scoring import Candidate, RankedList
+
+# Each dimension with its JSON key; reading ``Dimension.value`` is a property
+# call, too slow to repeat twelve times per ranked entry.
+_DIMENSION_KEYS = tuple((dim, dim.value) for dim in DIMENSIONS)
 
 
 def salience_to_dict(profile: SalienceProfile) -> dict:
     return {
         "scorer_id": profile.scorer_id,
-        "weights": {dim.value: profile.weights[dim] for dim in Dimension},
+        "weights": {key: profile.weights[dim] for dim, key in _DIMENSION_KEYS},
         "dominant": [dim.value for dim in profile.dominant],
     }
 
@@ -26,10 +30,10 @@ def ranking_to_dict(ranked: RankedList) -> dict:
             {
                 "candidate_id": entry.candidate_id,
                 "composite": entry.composite,
-                "scores": {dim.value: entry.vector.scores[dim] for dim in Dimension},
+                "scores": {key: entry.vector.scores[dim] for dim, key in _DIMENSION_KEYS},
                 "evidence": {
-                    dim.value: list(entry.vector.evidence.get(dim, ()))
-                    for dim in Dimension
+                    key: list(entry.vector.evidence.get(dim, ()))
+                    for dim, key in _DIMENSION_KEYS
                 },
             }
             for entry in ranked.entries

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,12 @@ import jsonschema
 import pytest
 
 from appraisal_explainer.cli import main
-from appraisal_explainer.config import PATH_KEYS, resolve_config
+from appraisal_explainer.config import PATH_KEYS, RunConfig, load_candidates, load_profile, resolve_config
+from appraisal_explainer.context import Query
+from appraisal_explainer.pipeline import load_engine_data, run_pipeline
+from appraisal_explainer.runlog import RunLog
 from appraisal_explainer.schemas import CONFIG_SCHEMA, SCHEMAS
+from appraisal_explainer.serialize import ranking_to_dict
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -448,20 +453,76 @@ def test_non_utf8_input_is_an_input_error(capsys, fixture_files, tmp_path, flag)
     assert err.startswith(f"error: {flag[2:]} file {bad} is not valid UTF-8 JSON: ")
 
 
+# Mostly words of the bundled lexicons, so generated candidates earn evidence
+# on every dimension and the ranking output is large.
+_WORDS = [
+    "quick", "fast", "easy", "healthy", "nutritious", "classic", "comforting",
+    "customizable", "delicious", "fresh", "bland", "boring", "spicy", "stew",
+    "salad", "noodles", "beans", "tofu", "herbs", "crème fraîche",
+]
+_QUERY = "something quick and delicious in 30 minutes"
+
+
+def _large_inputs(tmp_path, size=1200):
+    """A generated catalog whose ranking JSON is more than one writer block."""
+    rng = random.Random(5)
+    candidates = [
+        {
+            "id": f"c{index:04d}",
+            "name": " ".join(rng.sample(_WORDS, 2)),
+            "description": " ".join(rng.sample(_WORDS, 6)),
+            "prep_time_minutes": rng.randint(5, 90),
+            "ingredients": rng.sample(_WORDS, 3),
+            "tags": rng.sample(_WORDS, 3),
+            "customization_options": rng.randint(0, 3),
+        }
+        for index in range(size)
+    ]
+    candidates[0].update(id="crème-brûlée", name="Crème brûlée")
+    profile = {
+        "user_id": "u",
+        "goals": ["healthy"],
+        "dietary_constraints": ["no-nuts"],
+        "familiar_items": ["crème fraîche", "beans"],
+    }
+    paths = tmp_path / "profile.json", tmp_path / "candidates.json"
+    for path, doc in zip(paths, (profile, candidates)):
+        path.write_text(json.dumps(doc, ensure_ascii=False), "utf-8")
+    return paths
+
+
+def test_json_output_is_streamed_unchanged(capsys, tmp_path):
+    profile, candidates = _large_inputs(tmp_path)
+    result = run_pipeline(
+        load_profile(profile), Query(_QUERY), load_candidates(candidates),
+        load_engine_data(RunConfig()), RunConfig(), RunLog(), want_appraisal=False,
+    )
+    payload = ranking_to_dict(result.ranked)
+    expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    chunks = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(payload)
+    assert sum(1 for _ in chunks) > 65536  # more than one writer block
+    assert "crème-brûlée" in expected and "crème fraîche" in expected
+
+    out = tmp_path / "out"
+    code, stdout, _ = _run(capsys, [
+        "rank", "--profile", str(profile), "--query", _QUERY, "--candidates", str(candidates),
+        "--format", "json", "--out", str(out),
+    ])
+    assert code == 0
+    assert stdout == expected
+    assert (out / "ranking.json").read_bytes() == expected.encode("utf-8")
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     import appraisal_explainer
 
-    profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps({"user_id": "u"}))
-    candidates = tmp_path / "candidates.json"
-    # Far more JSON than a pipe buffers, so the writer meets the closed pipe.
-    candidates.write_text(json.dumps(
-        [{"id": f"c{i}", "name": f"Dish {i}", "prep_time_minutes": 10} for i in range(500)]
-    ))
+    # More than one writer block of JSON, far more than a pipe buffers, so the
+    # writer meets the closed pipe mid-stream.
+    profile, candidates = _large_inputs(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(appraisal_explainer.__file__).parents[1])}
     argv = [
         sys.executable, "-m", "appraisal_explainer.cli", "rank", "--profile", str(profile),
-        "--query", "dinner", "--candidates", str(candidates), "--format", "json",
+        "--query", _QUERY, "--candidates", str(candidates), "--format", "json",
     ]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert proc.stdout.readline() == b"{\n"

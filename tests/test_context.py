@@ -19,14 +19,18 @@ from appraisal_explainer.errors import EmptyQuery
 # earliest valid match in text order wins.
 def _oracle_time(text):
     found = []
-    for match in re.finditer(r"(\d+)\s*-?\s*min(?:ute)?s?\b", text, re.IGNORECASE):
-        minutes = int(match.group(1))
-        if 1 <= minutes <= 1440:
-            found.append((match.start(), minutes))
+    for pattern, per_unit in ((r"(\d+)\s*-?\s*min(?:ute)?s?\b", 1), (r"(\d+)\s*-?\s*hours?\b", 60)):
+        for match in re.finditer(pattern, text, re.IGNORECASE):
+            minutes = int(match.group(1)) * per_unit
+            if 1 <= minutes <= 1440:
+                found.append((match.start(), minutes))
     for match in re.finditer(r"\bhalf\s+an\s+hour\b", text, re.IGNORECASE):
         found.append((match.start(), 30))
+    for match in re.finditer(r"\bquarter\s+of\s+an\s+hour\b", text, re.IGNORECASE):
+        found.append((match.start(), 15))
     for match in re.finditer(r"\ban\s+hour\b", text, re.IGNORECASE):
-        if not re.search(r"\bhalf\s+an\s+hour\b", text[max(0, match.start() - 5):match.end()], re.IGNORECASE):
+        before = text[:match.start()]
+        if not re.search(r"\b(?:half|quarter\s+of)\s+$", before, re.IGNORECASE):
             found.append((match.start(), 60))
     if not found:
         return None
@@ -48,6 +52,14 @@ def _oracle_time(text):
         ("", None),
         ("15-minute", 15),
         ("minimal fuss please", None),
+        ("1 hour", 60),
+        ("ready in 2 hours", 120),
+        ("a 3-hour braise", 180),
+        ("a quarter of an hour", 15),
+        ("Quarter  of an hour, or half an hour", 15),
+        ("24 hours", 1440),
+        ("25 hours, or 90 minutes", 90),
+        ("0 hours", None),
     ],
 )
 def test_parse_time_constraint_cases(text, expected):
@@ -68,6 +80,16 @@ def test_parse_time_constraint_total(text):
 def test_parse_time_constraint_matches_oracle(n, template):
     text = template.format(n=n)
     assert parse_time_constraint(text) == _oracle_time(text) == n
+
+
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from(["{n} hours", "{n} hour", "{n}-hour", "in {n} hours please"]),
+)
+def test_parse_hours_matches_oracle(n, template):
+    text = template.format(n=n)
+    expected = n * 60 if 1 <= n * 60 <= 1440 else None
+    assert parse_time_constraint(text) == _oracle_time(text) == expected
 
 
 def test_tokenize_splits_non_alphanumerics():

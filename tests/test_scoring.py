@@ -1,4 +1,7 @@
+import dataclasses
 import random
+import tracemalloc
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,17 +13,23 @@ from appraisal_explainer import (
     Query,
     SalienceProfile,
     UserProfile,
+    appraisal_vector,
     build_unified_context,
     composite_score,
+    compute_salience,
     rank_candidates,
     rank_vectors,
     score_dimension,
 )
+from appraisal_explainer import scoring
+from appraisal_explainer.config import RunConfig
 from appraisal_explainer.errors import (
     DuplicateCandidate,
     IncompleteVector,
     NoCandidates,
 )
+from appraisal_explainer.pipeline import load_engine_data, run_pipeline
+from appraisal_explainer.runlog import RunLog
 
 DIMS = list(Dimension)
 
@@ -369,3 +378,86 @@ def test_composite_order_invariant_under_weight_scaling(data, scale):
         vectors, candidates, _salience([scaled_weights[d] for d in DIMS]), filter_normative=False
     )
     assert [e.candidate_id for e in base.entries] == [e.candidate_id for e in scaled.entries]
+
+
+@st.composite
+def random_profiles(draw):
+    word = st.sampled_from(WORD_POOL)
+    constraint = st.one_of(word, word.map("no-{}".format), word.map("{}-free".format))
+    return UserProfile(
+        user_id="u",
+        goals=tuple(draw(st.lists(word, max_size=3))),
+        dietary_constraints=tuple(draw(st.lists(constraint, max_size=2))),
+        familiar_items=tuple(draw(st.lists(word, max_size=3))),
+    )
+
+
+QUERIES = st.sampled_from(
+    ["feed me", "dinner in 20 minutes", "something fresh asap", "a quick healthy bowl in an hour"]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    candidates=random_candidates(), first=random_profiles(), second=random_profiles(),
+    queries=st.tuples(QUERIES, QUERIES),
+)
+def test_cached_features_score_like_a_fresh_candidate(candidates, first, second, queries, registry, lexicons):
+    warm = _context(registry, lexicons, first, queries[0])
+    context = _context(registry, lexicons, second, queries[1])
+    for candidate in candidates:
+        appraisal_vector(candidate, warm, lexicons)  # builds and keeps the features
+        fresh = dataclasses.replace(candidate)
+        assert "features" in vars(candidate) and "features" not in vars(fresh)
+        assert appraisal_vector(candidate, context, lexicons) == appraisal_vector(fresh, context, lexicons)
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidates=random_candidates(), profile=random_profiles(), query=QUERIES, data=st.data())
+def test_ranking_ignores_input_order(candidates, profile, query, data, registry, lexicons):
+    context = _context(registry, lexicons, profile, query)
+    salience = compute_salience(context, registry)
+    shuffled = data.draw(st.permutations(candidates))
+    ranked = rank_candidates(candidates, context, salience, lexicons=lexicons)
+    reranked = rank_candidates(shuffled, context, salience, lexicons=lexicons)
+    assert ranked.entries == reranked.entries
+    by_id = attrgetter("candidate_id")
+    assert sorted(ranked.excluded, key=by_id) == sorted(reranked.excluded, key=by_id)
+
+
+def test_run_pipeline_scores_through_the_module_global(monkeypatch, alex):
+    # Callers that rebind scoring.appraisal_vector, such as a tracer, see every call.
+    scored = []
+    original = scoring.appraisal_vector
+
+    def counted(candidate, *args, **kwargs):
+        scored.append(candidate.id)
+        return original(candidate, *args, **kwargs)
+
+    monkeypatch.setattr(scoring, "appraisal_vector", counted)
+    cfg = RunConfig()
+    run_pipeline(alex.profile, alex.query, list(alex.candidates), load_engine_data(cfg), cfg, RunLog())
+    assert scored == [candidate.id for candidate in alex.candidates]
+
+
+def test_features_retain_little_memory():
+    rng = random.Random(7)
+    candidates = [
+        Candidate(
+            id=f"c{index}",
+            name=" ".join(rng.sample(WORD_POOL, 2)),
+            description=" ".join(rng.choices(WORD_POOL, k=12)),
+            ingredients=tuple(rng.sample(WORD_POOL, 4)),
+            tags=tuple(rng.sample(WORD_POOL, 3)),
+        )
+        for index in range(2000)
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for candidate in candidates:
+            candidate.features
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(candidates) <= 1536
