@@ -5,6 +5,12 @@ Exit codes: 0 success, 1 pipeline error, 2 input or configuration error,
 ``appraise rank ... | head -1`` does.
 All commands are byte-deterministic under the lexical scorer and template
 realizer given identical inputs and configuration.
+
+JSON output is indented by two spaces and ends with a newline. A ranking, on
+stdout and in ``ranking.json``, is written straight from the ``RankedList``
+by ``serialize.write_ranking_json``; text output renders its dict view,
+``ranking_to_dict``. Every other JSON document goes through ``_dump_json``.
+Both write block by block, so no document is held as one string.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .serialize import (
     plan_to_dict,
     ranking_to_dict,
     salience_to_dict,
+    write_ranking_json,
 )
 
 
@@ -118,15 +125,15 @@ def _out_dir(cfg: RunConfig, default: Path | None = None) -> Path | None:
     return path
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_json(path: Path, payload, dump=_dump_json) -> None:
     with path.open("w", encoding="utf-8") as stream:
-        _dump_json(payload, stream)
+        dump(payload, stream)
 
 
 def write_artifacts(out: Path, result: PipelineResult, runlog: RunLog) -> None:
     """Write each result part the pipeline produced, then the run log, into ``out``."""
     _write_json(out / "salience.json", salience_to_dict(result.salience))
-    _write_json(out / "ranking.json", ranking_to_dict(result.ranked))
+    _write_json(out / "ranking.json", result.ranked, write_ranking_json)
     if result.plan is not None:
         _write_json(out / "plan.json", plan_to_dict(result.plan))
     if result.explanation is not None:
@@ -206,15 +213,14 @@ def cmd_rank(args: argparse.Namespace, cfg: RunConfig) -> int:
     result, _ = _run_inputs(
         args, cfg, want_appraisal=False, want_baseline=False, want_compare=False
     )
-    payload = ranking_to_dict(result.ranked)
     out = _out_dir(cfg)
     if out is not None:
         _write_json(out / "salience.json", salience_to_dict(result.salience))
-        _write_json(out / "ranking.json", payload)
+        _write_json(out / "ranking.json", result.ranked, write_ranking_json)
     if cfg.format == FORMAT_JSON:
-        _print_json(payload)
+        write_ranking_json(result.ranked, sys.stdout)
     else:
-        print(_render_ranking_text(payload))
+        print(_render_ranking_text(ranking_to_dict(result.ranked)))
     return 0
 
 

@@ -47,12 +47,15 @@ def parse_time_constraint(text: str) -> int | None:
         return None
     for match in _DURATION_RE.finditer(text):
         minutes_digits, hours_digits = match.groups()
-        if minutes_digits is not None:
-            minutes = int(minutes_digits)
-        elif hours_digits is not None:
-            minutes = int(hours_digits) * 60
-        else:
+        digits = minutes_digits or hours_digits
+        if digits is None:
             return _WORDED_MINUTES[match.group(0).split()[0].lower()]
+        # A nonzero digit before the last four makes the run 10,000 or more:
+        # never a duration, so it is skipped without int(), which refuses
+        # runs of over 4,300 digits.
+        if any(map(int, digits[:-4])):
+            continue
+        minutes = int(digits[-4:]) * (1 if minutes_digits else 60)
         if 1 <= minutes <= MAX_CONSTRAINT_MINUTES:
             return minutes
     return None

@@ -34,8 +34,8 @@ def _interned(values) -> tuple[str, ...]:
     return tuple(map(sys.intern, values))
 
 
-def _unique_tokens(texts) -> tuple[str, ...]:
-    return _interned(dict.fromkeys(token for text in texts for token in tokenize(text)))
+def _unique(values) -> tuple[str, ...]:
+    return _interned(dict.fromkeys(values))
 
 
 class CandidateFeatures(NamedTuple):
@@ -83,16 +83,24 @@ class Candidate:
 
     @cached_property
     def features(self) -> CandidateFeatures:
-        """Built on first use and kept: the candidate is immutable, so they never go stale."""
+        """Built on first use and kept: the candidate is immutable, so they never go stale.
+
+        Each text field is tokenized once. A list field is tokenized as its
+        items joined by spaces: tokens are runs of ``[a-z0-9]``, so the space
+        only separates, and the tokens come out as the items' own, in order.
+        """
         tags, values = self.tags, self.tags + self.ingredients
+        description = tokenize(self.description)
+        tag_tokens = tokenize(" ".join(tags))
+        item_tokens = tag_tokens + tokenize(" ".join(self.ingredients))
         cleaned = (value.strip().lower() for value in values)
         return CandidateFeatures(
-            terms=_unique_tokens((self.name, self.description, *tags)),
-            tag_tokens=_unique_tokens(tags),
-            item_tokens=_unique_tokens(values),
-            items=_interned(dict.fromkeys(value for value in cleaned if value)),
-            tags_lower=_interned(dict.fromkeys(tag.strip().lower() for tag in tags)),
-            description_tokens=_interned(tokenize(self.description)),
+            terms=_unique((*tokenize(self.name), *description, *tag_tokens)),
+            tag_tokens=_unique(tag_tokens),
+            item_tokens=_unique(item_tokens),
+            items=_unique(value for value in cleaned if value),
+            tags_lower=_unique(tag.strip().lower() for tag in tags),
+            description_tokens=_interned(description),
         )
 
 

@@ -2,9 +2,18 @@
 
 Dictionaries are built in the fixed dimension order so serialized output is
 byte-stable for identical inputs.
+
+``write_ranking_json`` is the one JSON serializer of a ranking: it writes the
+document straight to a stream, byte for byte what ``json.dumps`` makes of
+``ranking_to_dict`` with ``indent=2, ensure_ascii=False``, and a newline.
+``ranking_to_dict`` stays as the dict view that text output renders and as
+the oracle the writer is tested against.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from json.encoder import encode_basestring as _quote  # json's string encoder when ensure_ascii=False
 
 from .explanation import ComparisonReport, ExplanationPlan, MentionReport
 from .registry import DIMENSIONS
@@ -43,6 +52,75 @@ def ranking_to_dict(ranked: RankedList) -> dict:
             for exclusion in ranked.excluded
         ],
     }
+
+
+# The fixed text of one ranked entry around its id, composite and six scores,
+# at the depth json's indent=2 puts it, and each evidence list's key.
+_ENTRY_HEAD = (
+    '    {\n      "candidate_id": %s,\n      "composite": %s,\n      "scores": {\n'
+    + ",\n".join(f"        {_quote(key)}: %s" for _, key in _DIMENSION_KEYS)
+    + '\n      },\n      "evidence": {\n'
+)
+_EVIDENCE_KEYS = tuple((dim, f"        {_quote(key)}: ") for dim, key in _DIMENSION_KEYS)
+_ENTRY_TAIL = "\n      }\n    }"
+_BLOCK_CHUNKS = 1024
+
+
+def _evidence_list(strings) -> str:
+    if not strings:
+        return "[]"
+    return "[\n          " + ",\n          ".join(map(_quote, strings)) + "\n        ]"
+
+
+def _entry_json(entry) -> str:
+    scores, evidence = entry.vector.scores, entry.vector.evidence
+    head = _ENTRY_HEAD % (
+        _quote(entry.candidate_id),
+        float.__repr__(entry.composite),
+        *[float.__repr__(scores[dim]) for dim, _ in _DIMENSION_KEYS],
+    )
+    lists = ",\n".join(
+        prefix + _evidence_list(evidence.get(dim, ())) for dim, prefix in _EVIDENCE_KEYS
+    )
+    return head + lists + _ENTRY_TAIL
+
+
+def _exclusion_json(exclusion) -> str:
+    return (
+        f'    {{\n      "candidate_id": {_quote(exclusion.candidate_id)},\n'
+        f'      "reason": {_quote(exclusion.reason)}\n    }}'
+    )
+
+
+def _array(items):
+    """The JSON array of ``items``, already indented as members of a top-level key."""
+    opener = "[\n"
+    for item in items:
+        yield opener + item
+        opener = ",\n"
+    yield "[]" if opener == "[\n" else "\n  ]"
+
+
+def _ranking_chunks(ranked: RankedList):
+    yield '{\n  "entries": '
+    yield from _array(map(_entry_json, ranked.entries))
+    yield ',\n  "excluded": '
+    yield from _array(map(_exclusion_json, ranked.excluded))
+    yield "\n}\n"
+
+
+def write_ranking_json(ranked: RankedList, stream) -> None:
+    """Write ``ranked`` to ``stream`` as indented JSON and a newline, about 1k entries a write.
+
+    The bytes are those of ``json.dumps(ranking_to_dict(ranked), indent=2,
+    ensure_ascii=False) + "\\n"``, without building the dict or holding the
+    document as one string. Scores and composites are finite floats, as the
+    scorers and ``composite_score`` make them, so ``float.__repr__`` writes
+    each as ``json`` does.
+    """
+    chunks = _ranking_chunks(ranked)
+    while block := "".join(islice(chunks, _BLOCK_CHUNKS)):
+        stream.write(block)
 
 
 def _candidate_to_dict(candidate: Candidate) -> dict:

@@ -57,6 +57,19 @@ def test_salience_zero_signal_uniform(capsys, tmp_path):
     assert all(abs(w - 1 / 6) < 1e-12 for w in payload["weights"].values())
 
 
+def test_salience_query_with_a_huge_number_is_no_duration(capsys, tmp_path):
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps({"user_id": "nobody"}))
+    outputs = []
+    for query in ("1" * 5000 + " minutes", "minutes"):
+        code, out, err = _run(
+            capsys, ["salience", "--profile", str(profile), "--query", query, "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_salience_missing_profile_path(capsys):
     code, out, err = _run(
         capsys,

@@ -67,6 +67,20 @@ def test_parse_time_constraint_cases(text, expected):
     assert parse_time_constraint(text) == _oracle_time(text)
 
 
+# Runs longer than int() converts (4,300 digits); the oracle would raise on them.
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("1" * 5000 + " minutes, or 20 minutes", 20),
+        ("0" * 5000 + "30 minutes", 30),
+        ("9" * 5000 + " hours", None),
+        ("0" * 5000 + "2 hours", 120),
+    ],
+)
+def test_parse_time_constraint_skips_long_digit_runs(text, expected):
+    assert parse_time_constraint(text) == expected
+
+
 @given(st.text(max_size=200))
 def test_parse_time_constraint_total(text):
     result = parse_time_constraint(text)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 import tracemalloc
 from operator import attrgetter
 
@@ -20,6 +21,7 @@ from appraisal_explainer import (
     rank_candidates,
     rank_vectors,
     score_dimension,
+    tokenize,
 )
 from appraisal_explainer import scoring
 from appraisal_explainer.config import RunConfig
@@ -438,6 +440,48 @@ def test_run_pipeline_scores_through_the_module_global(monkeypatch, alex):
     cfg = RunConfig()
     run_pipeline(alex.profile, alex.query, list(alex.candidates), load_engine_data(cfg), cfg, RunLog())
     assert scored == [candidate.id for candidate in alex.candidates]
+
+
+# Each field tokenized on its own, item by item: the derivation the
+# single-pass features must reproduce.
+def _reference_features(candidate):
+    def unique_tokens(texts):
+        return tuple(dict.fromkeys(token for text in texts for token in tokenize(text)))
+
+    tags, values = candidate.tags, candidate.tags + candidate.ingredients
+    cleaned = (value.strip().lower() for value in values)
+    return scoring.CandidateFeatures(
+        terms=unique_tokens((candidate.name, candidate.description, *tags)),
+        tag_tokens=unique_tokens(tags),
+        item_tokens=unique_tokens(values),
+        items=tuple(dict.fromkeys(value for value in cleaned if value)),
+        tags_lower=tuple(dict.fromkeys(tag.strip().lower() for tag in tags)),
+        description_tokens=tuple(tokenize(candidate.description)),
+    )
+
+
+# Hyphens, punctuation and whitespace split tokens; U+0130 and the Kelvin sign
+# lower-case to ASCII ("i" plus a combining dot, and "k").
+FIELD_TEXT = st.one_of(
+    st.sampled_from(["", " ", "   ", "gluten-free", "no-nuts", "İ", "\u212a", "İK-\u212a"]),
+    st.text(st.one_of(st.sampled_from("aZ09 -_,.'!\t\nİ\u212aσΣ"), st.characters()), max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=FIELD_TEXT, description=FIELD_TEXT,
+    tags=st.lists(FIELD_TEXT, max_size=4), ingredients=st.lists(FIELD_TEXT, max_size=4),
+)
+@example(name="", description="", tags=["gluten-free", "no-nuts"], ingredients=["\u0130", "\u212a", " "])
+def test_features_match_a_per_item_derivation(name, description, tags, ingredients):
+    candidate = Candidate(
+        id="c", name=name, description=description, tags=tuple(tags), ingredients=tuple(ingredients)
+    )
+    features = candidate.features
+    assert features == _reference_features(candidate)
+    # An equal, new string interns to the very string the features keep.
+    assert all(sys.intern((value + ".")[:-1]) is value for field in features for value in field)
 
 
 def test_features_retain_little_memory():

@@ -1,0 +1,93 @@
+import io
+import json
+
+from hypothesis import example, given, settings, strategies as st
+
+from appraisal_explainer import (
+    AppraisalVector,
+    Candidate,
+    Dimension,
+    build_unified_context,
+    compute_salience,
+    rank_candidates,
+)
+from appraisal_explainer.scoring import Exclusion, RankedEntry, RankedList
+from appraisal_explainer.serialize import ranking_to_dict, write_ranking_json
+
+# Characters json escapes or passes through unescaped with ensure_ascii=False:
+# quote, backslash, control characters, DEL, the line and paragraph
+# separators, non-ASCII and astral text.
+TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7f\u2028\u2029 aé€\U0001f600'), st.characters()),
+    max_size=12,
+)
+SCORE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _oracle(ranked: RankedList) -> str:
+    return json.dumps(ranking_to_dict(ranked), indent=2, ensure_ascii=False) + "\n"
+
+
+def _written(ranked: RankedList) -> str:
+    stream = io.StringIO()
+    write_ranking_json(ranked, stream)
+    return stream.getvalue()
+
+
+@st.composite
+def entries(draw):
+    candidate_id = draw(TEXT)
+    with_evidence = draw(st.sets(st.sampled_from(list(Dimension))))
+    vector = AppraisalVector(
+        candidate_id=candidate_id,
+        scores={dim: draw(SCORE) for dim in Dimension},
+        evidence={dim: tuple(draw(st.lists(TEXT, max_size=3))) for dim in with_evidence},
+    )
+    return RankedEntry(candidate_id, draw(SCORE), vector, Candidate(id=candidate_id, name="n"))
+
+
+RANKINGS = st.builds(
+    RankedList,
+    st.lists(entries(), max_size=4).map(tuple),
+    st.lists(st.builds(Exclusion, TEXT, TEXT), max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RANKINGS)
+@example(RankedList((), ()))
+@example(RankedList((), (Exclusion("x", "violates 'vegan': not tagged vegan"),)))
+def test_writer_matches_json_dumps_of_the_dict_view(ranked):
+    assert _written(ranked) == _oracle(ranked)
+
+
+@settings(max_examples=40, deadline=None)
+@given(texts=st.lists(TEXT, max_size=6), filter_normative=st.booleans())
+def test_writer_matches_json_dumps_on_scored_rankings(texts, filter_normative, alex, registry, lexicons):
+    # alex asks for vegetarian dishes, so the filter excludes some candidates
+    # and --no-normative-filter ranks them with their violations.
+    candidates = list(alex.candidates) + [
+        Candidate(id=f"g{index}{text}", name=text, description=text, tags=(text,), ingredients=(text,))
+        for index, text in enumerate(texts)
+    ]
+    context = build_unified_context(alex.profile, alex.query, registry, lexicons)
+    ranked = rank_candidates(
+        candidates, context, compute_salience(context, registry),
+        lexicons=lexicons, filter_normative=filter_normative,
+    )
+    assert _written(ranked) == _oracle(ranked)
+
+
+def test_writer_writes_in_blocks():
+    vector = AppraisalVector("c", {dim: 0.5 for dim in Dimension}, {})
+    entry = RankedEntry("c", 0.5, vector, Candidate(id="c", name="n"))
+    ranked = RankedList((entry,) * 2500, ())
+    writes = []
+
+    class Stream:
+        def write(self, text):
+            writes.append(text)
+
+    write_ranking_json(ranked, Stream())
+    assert 3 <= len(writes) < 2500
+    assert "".join(writes) == _oracle(ranked)
