@@ -6,12 +6,18 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
-
 from .context import UserProfile
-from .errors import ConfigError, InvalidRecord
-from .schemas import CANDIDATES_SCHEMA, CONFIG_SCHEMA, PROFILE_SCHEMA, read_json, validate
+from .errors import ConfigError
+from .schemas import (
+    CANDIDATES_SCHEMA, CONFIG_SCHEMA, NOT_ACCEPTED, PROFILE_SCHEMA, checker, read_json, validate,
+)
 from .scoring import Candidate
+
+# jsonschema, imported by the first rejected profile or candidate set to word
+# its error. A module-level name only because the traced benchmark
+# (bench/run.py:tracing_patches) rebinds it; delete it with ROADMAP item 5's
+# benchmark change.
+jsonschema = None
 
 FORMAT_JSON = "json"
 FORMAT_TEXT = "text"
@@ -40,36 +46,34 @@ class RunConfig:
     out_dir: str | None = None
 
 
-def _validated_json(path: str | Path, parse, schema: dict, what: str):
-    """``parse`` of the JSON document in ``path``, which checks it against ``schema``.
+def _validated_json(path: str | Path, schema: dict, what: str):
+    """The JSON document in ``path`` if ``schema`` accepts it, else ConfigError.
 
-    ``parse`` accepts exactly what ``schema`` does, without jsonschema; a
-    document it rejects is validated again by jsonschema only to word the error.
+    The compiled check of ``schema`` decides; a document it rejects is
+    validated again by jsonschema only to word the error.
     """
+    global jsonschema
     doc = read_json(path, what, json.loads)  # via config.json, so a wrapper there times it
+    if checker(schema)(doc):
+        return doc
+    if jsonschema is None:
+        import jsonschema
     try:
-        return parse(doc)
-    except InvalidRecord as rejected:
-        try:
-            jsonschema.validate(doc, schema)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"{what} file {path} failed validation: {exc.message}") from exc
-        raise ConfigError(f"{what} file {path} failed validation: {rejected}") from rejected
-
-
-def parse_candidates(doc) -> list[Candidate]:
-    """The candidates ``doc`` lists; InvalidRecord unless ``CANDIDATES_SCHEMA`` accepts it."""
-    if not isinstance(doc, list):
-        raise InvalidRecord("a candidate set is a list")
-    return [Candidate.from_dict(record) for record in doc]
+        jsonschema.validate(doc, schema)
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"{what} file {path} failed validation: {exc.message}") from exc
+    raise ConfigError(f"{what} file {path} failed validation: {NOT_ACCEPTED}")
 
 
 def load_profile(path: str | Path) -> UserProfile:
-    return _validated_json(path, UserProfile.from_dict, PROFILE_SCHEMA, "profile")
+    """The profile in ``path``, checked against ``PROFILE_SCHEMA``."""
+    return UserProfile.from_dict(_validated_json(path, PROFILE_SCHEMA, "profile"))
 
 
 def load_candidates(path: str | Path) -> list[Candidate]:
-    return _validated_json(path, parse_candidates, CANDIDATES_SCHEMA, "candidates")
+    """The candidate set in ``path``, checked against ``CANDIDATES_SCHEMA`` as a whole."""
+    doc = _validated_json(path, CANDIDATES_SCHEMA, "candidates")
+    return [Candidate.from_dict(record) for record in doc]
 
 
 def resolve_config(doc, flags: dict, out_dir: str | None = None) -> RunConfig:

@@ -1,284 +1,199 @@
-"""Published JSON Schemas for every file format the engine reads or writes."""
+"""Published JSON Schemas for every file format the engine reads or writes.
+
+These schemas are the single description of each input format: candidates,
+profile, config, registry, lexicons and prompts. No other module checks their
+fields. Every loader checks its document with ``checker``, which compiles a
+schema once into nested closures: one per schema node, with the node's type
+test and keywords fused.
+
+The compiler supports exactly the keywords the input schemas use, under JSON
+Schema (draft 2020-12) semantics: ``type`` (a name, or a list of names, of
+``object``, ``array``, ``string``, ``integer``, ``boolean`` and ``null``),
+``properties``, ``additionalProperties: false``, ``required``, ``items``,
+``minimum``, ``maximum``, ``minLength``, ``enum`` (of strings, on a string
+node) and ``pattern``. A bool is not an integer, a whole float such as 2.0
+is one, and NaN and the infinities are not; ``minLength`` counts code
+points; ``pattern`` matches anywhere in the string, as ``re.search`` does.
+The annotations ``$schema`` and ``title`` are ignored. Any other keyword, a
+node without a type, or a supported keyword in another form raises
+ValueError at compile time, so no schema edit can leave a field unchecked.
+
+jsonschema is on no success path. It is imported only after the compiled
+check rejects a document, to word the error with ``best_match``; a document
+the check rejects is never accepted, even if jsonschema finds no error.
+
+The published schemas themselves, the documents ``appraise schemas``
+prints, are unchanged by the compiler: it reads them and never rewrites them.
+"""
 
 from __future__ import annotations
 
 import json
+import re
+from itertools import repeat
 from pathlib import Path
-
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
+from typing import Callable
 
 from .errors import ConfigError
 from .registry import Dimension
 
 DIMENSION_IDS = [dim.value for dim in Dimension]
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
 
-_STRING_ARRAY = {"type": "array", "items": {"type": "string"}}
 
+def _closed(properties: dict, *required: str) -> dict:
+    """An object schema of exactly ``properties``, of which ``required`` must be present."""
+    schema = {"type": "object", "properties": properties}
+    if required:
+        schema["required"] = list(required)
+    return {**schema, "additionalProperties": False}
+
+
+def _document(title: str, schema: dict) -> dict:
+    """``schema`` as a published top-level document."""
+    return {"$schema": _DRAFT, "title": title, **schema}
+
+
+_STRING = {"type": "string"}
+_NONEMPTY_STRING = {"type": "string", "minLength": 1}
+# Empty keeps the bundled text; whitespace alone is rejected.
+_TEXT_OVERRIDE = {"type": "string", "pattern": "^$|\\S"}
+_STRING_ARRAY = {"type": "array", "items": _STRING}
+_UNIT = {"type": "number", "minimum": 0, "maximum": 1}
 _DIMENSION_ENUM = {"type": "string", "enum": DIMENSION_IDS}
+_WEIGHT_MAP = _closed({value: _UNIT for value in DIMENSION_IDS}, *DIMENSION_IDS)
+_EVIDENCE_MAP = _closed({value: _STRING_ARRAY for value in DIMENSION_IDS}, *DIMENSION_IDS)
 
-_WEIGHT_MAP = {
-    "type": "object",
-    "properties": {
-        value: {"type": "number", "minimum": 0, "maximum": 1} for value in DIMENSION_IDS
+REGISTRY_SCHEMA = _document("Appraisal registry document", _closed({
+    "dimensions": {"type": "array", "items": _closed(
+        {"id": _DIMENSION_ENUM, "display_name": _TEXT_OVERRIDE, "canonical_statement": _TEXT_OVERRIDE},
+        "id",
+    )},
+}))
+
+LEXICONS_SCHEMA = _document("Keyword and sentiment lexicons", _closed({
+    "dimensions": _closed({value: _STRING_ARRAY for value in DIMENSION_IDS}),
+    "sentiment": _closed({"positive": _STRING_ARRAY, "negative": _STRING_ARRAY}),
+}))
+
+PROMPTS_SCHEMA = _document("Prompt templates", _closed({
+    "system_instruction": _STRING,
+    "section_labels": _closed({
+        label: _STRING
+        for label in ("profile", "situation", "appraisals", "candidates", "instruction")
+    }),
+    "appraisal_instruction": _STRING,
+    "baseline_instruction": _STRING,
+}))
+
+PROFILE_SCHEMA = _document("User profile", _closed(
+    {
+        "user_id": _NONEMPTY_STRING,
+        "description": _STRING,
+        **{key: _STRING_ARRAY for key in (
+            "goals", "preference_keywords", "dietary_constraints", "familiar_items",
+            "history_queries",
+        )},
     },
-    "required": DIMENSION_IDS,
-    "additionalProperties": False,
-}
+    "user_id",
+))
 
-_EVIDENCE_MAP = {
-    "type": "object",
-    "properties": {value: _STRING_ARRAY for value in DIMENSION_IDS},
-    "required": DIMENSION_IDS,
-    "additionalProperties": False,
-}
-
-REGISTRY_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Appraisal registry document",
-    "type": "object",
-    "properties": {
-        "dimensions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "id": _DIMENSION_ENUM,
-                    # Empty keeps the bundled text; whitespace alone is rejected.
-                    "display_name": {"type": "string", "pattern": "^$|\\S"},
-                    "canonical_statement": {"type": "string", "pattern": "^$|\\S"},
-                },
-                "required": ["id"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
-
-LEXICONS_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Keyword and sentiment lexicons",
-    "type": "object",
-    "properties": {
-        "dimensions": {
-            "type": "object",
-            "properties": {value: _STRING_ARRAY for value in DIMENSION_IDS},
-            "additionalProperties": False,
-        },
-        "sentiment": {
-            "type": "object",
-            "properties": {"positive": _STRING_ARRAY, "negative": _STRING_ARRAY},
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
-
-PROMPTS_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Prompt templates",
-    "type": "object",
-    "properties": {
-        "system_instruction": {"type": "string"},
-        "section_labels": {
-            "type": "object",
-            "properties": {
-                label: {"type": "string"}
-                for label in ("profile", "situation", "appraisals", "candidates", "instruction")
-            },
-            "additionalProperties": False,
-        },
-        "appraisal_instruction": {"type": "string"},
-        "baseline_instruction": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-PROFILE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "User profile",
-    "type": "object",
-    "properties": {
-        "user_id": {"type": "string", "minLength": 1},
-        "description": {"type": "string"},
-        "goals": _STRING_ARRAY,
-        "preference_keywords": _STRING_ARRAY,
-        "dietary_constraints": _STRING_ARRAY,
-        "familiar_items": _STRING_ARRAY,
-        "history_queries": _STRING_ARRAY,
-    },
-    "required": ["user_id"],
-    "additionalProperties": False,
-}
-
-CANDIDATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "id": {"type": "string", "minLength": 1},
-        "name": {"type": "string", "minLength": 1},
-        "description": {"type": "string"},
+CANDIDATE_SCHEMA = _closed(
+    {
+        "id": _NONEMPTY_STRING,
+        "name": _NONEMPTY_STRING,
+        "description": _STRING,
         "prep_time_minutes": {"type": "integer", "minimum": 1},
         "ingredients": _STRING_ARRAY,
         "tags": _STRING_ARRAY,
         "customization_options": {"type": "integer", "minimum": 0},
     },
-    "required": ["id", "name", "prep_time_minutes"],
-    "additionalProperties": False,
-}
+    "id", "name", "prep_time_minutes",
+)
 
-CANDIDATES_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Candidate set",
-    "type": "array",
-    "items": CANDIDATE_SCHEMA,
-}
+CANDIDATES_SCHEMA = _document("Candidate set", {"type": "array", "items": CANDIDATE_SCHEMA})
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Run configuration",
-    "type": "object",
-    "properties": {
-        "paths": {
-            "type": "object",
-            "properties": {
-                "registry": {"type": ["string", "null"]},
-                "lexicons": {"type": ["string", "null"]},
-                "profile": {"type": ["string", "null"]},
-                "candidates": {"type": ["string", "null"]},
-                "prompts": {"type": ["string", "null"]},
-            },
-            "additionalProperties": False,
-        },
-        "scorer": {"type": "string", "enum": ["lexical", "remote"]},
-        "realizer": {"type": "string", "enum": ["template", "llm"]},
-        "top_k": {"type": "integer", "minimum": 1, "maximum": 6},
-        "fallback": {"type": "boolean"},
-        "filter_normative": {"type": "boolean"},
-        "format": {"type": "string", "enum": ["json", "text"]},
-    },
-    "additionalProperties": False,
-}
+CONFIG_SCHEMA = _document("Run configuration", _closed({
+    "paths": _closed({
+        key: {"type": ["string", "null"]}
+        for key in ("registry", "lexicons", "profile", "candidates", "prompts")
+    }),
+    "scorer": {"type": "string", "enum": ["lexical", "remote"]},
+    "realizer": {"type": "string", "enum": ["template", "llm"]},
+    "top_k": {"type": "integer", "minimum": 1, "maximum": 6},
+    "fallback": {"type": "boolean"},
+    "filter_normative": {"type": "boolean"},
+    "format": {"type": "string", "enum": ["json", "text"]},
+}))
 
-FIXTURE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Scenario fixture",
-    "type": "object",
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "notes": {"type": "string"},
+FIXTURE_SCHEMA = _document("Scenario fixture", _closed(
+    {
+        "name": _NONEMPTY_STRING,
+        "notes": _STRING,
         "expected_dominant": {"type": "array", "items": _DIMENSION_ENUM},
         "profile": PROFILE_SCHEMA,
-        "query": {
-            "type": "object",
-            "properties": {
-                "text": {"type": "string", "minLength": 1},
-                "timestamp": {"type": "string"},
-            },
-            "required": ["text"],
-            "additionalProperties": False,
-        },
+        "query": _closed({"text": _NONEMPTY_STRING, "timestamp": _STRING}, "text"),
         "candidates": CANDIDATES_SCHEMA,
     },
-    "required": ["name", "notes", "expected_dominant", "profile", "query", "candidates"],
-    "additionalProperties": False,
-}
+    "name", "notes", "expected_dominant", "profile", "query", "candidates",
+))
 
-SALIENCE_OUTPUT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Salience profile output",
-    "type": "object",
-    "properties": {
-        "scorer_id": {"type": "string"},
+SALIENCE_OUTPUT_SCHEMA = _document("Salience profile output", _closed(
+    {
+        "scorer_id": _STRING,
         "weights": _WEIGHT_MAP,
         "dominant": {"type": "array", "items": _DIMENSION_ENUM},
     },
-    "required": ["scorer_id", "weights", "dominant"],
-    "additionalProperties": False,
-}
+    "scorer_id", "weights", "dominant",
+))
 
-_RANKED_ENTRY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "candidate_id": {"type": "string"},
-        "composite": {"type": "number", "minimum": 0},
-        "scores": _WEIGHT_MAP,
-        "evidence": _EVIDENCE_MAP,
-    },
-    "required": ["candidate_id", "composite", "scores", "evidence"],
-    "additionalProperties": False,
-}
+_COMPOSITE = {"type": "number", "minimum": 0}
 
-RANKING_OUTPUT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Ranked list output",
-    "type": "object",
-    "properties": {
+_RANKED_ENTRY_SCHEMA = _closed(
+    {"candidate_id": _STRING, "composite": _COMPOSITE, "scores": _WEIGHT_MAP, "evidence": _EVIDENCE_MAP},
+    "candidate_id", "composite", "scores", "evidence",
+)
+
+RANKING_OUTPUT_SCHEMA = _document("Ranked list output", _closed(
+    {
         "entries": {"type": "array", "items": _RANKED_ENTRY_SCHEMA},
-        "excluded": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "candidate_id": {"type": "string"},
-                    "reason": {"type": "string"},
-                },
-                "required": ["candidate_id", "reason"],
-                "additionalProperties": False,
-            },
-        },
+        "excluded": {"type": "array", "items": _closed(
+            {"candidate_id": _STRING, "reason": _STRING}, "candidate_id", "reason"
+        )},
     },
-    "required": ["entries", "excluded"],
-    "additionalProperties": False,
-}
+    "entries", "excluded",
+))
 
-_FINDING_SCHEMA = {
-    "type": "object",
-    "properties": {
+_FINDING_SCHEMA = _closed(
+    {
         "dimension": _DIMENSION_ENUM,
-        "display_name": {"type": "string"},
-        "weight": {"type": "number", "minimum": 0, "maximum": 1},
-        "score": {"type": "number", "minimum": 0, "maximum": 1},
+        "display_name": _STRING,
+        "weight": _UNIT,
+        "score": _UNIT,
         "evidence": _STRING_ARRAY,
     },
-    "required": ["dimension", "display_name", "weight", "score", "evidence"],
-    "additionalProperties": False,
-}
+    "dimension", "display_name", "weight", "score", "evidence",
+)
 
-PLAN_OUTPUT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Explanation plan output",
-    "type": "object",
-    "properties": {
+PLAN_OUTPUT_SCHEMA = _document("Explanation plan output", _closed(
+    {
         "candidate": CANDIDATE_SCHEMA,
         "dominant": {"type": "array", "items": _FINDING_SCHEMA},
         "per_dimension": {"type": "array", "items": _FINDING_SCHEMA},
-        "context_summary": {"type": "string"},
-        "composite": {"type": "number", "minimum": 0},
+        "context_summary": _STRING,
+        "composite": _COMPOSITE,
     },
-    "required": ["candidate", "dominant", "per_dimension", "context_summary", "composite"],
-    "additionalProperties": False,
-}
+    "candidate", "dominant", "per_dimension", "context_summary", "composite",
+))
 
-_MENTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "dimensions": _STRING_ARRAY,
-        "evidence": _STRING_ARRAY,
-        "length": {"type": "integer", "minimum": 0},
-    },
-    "required": ["dimensions", "evidence", "length"],
-    "additionalProperties": False,
-}
+_MENTION_SCHEMA = _closed(
+    {"dimensions": _STRING_ARRAY, "evidence": _STRING_ARRAY, "length": {"type": "integer", "minimum": 0}},
+    "dimensions", "evidence", "length",
+)
 
-COMPARISON_OUTPUT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Appraisal-vs-baseline comparison output",
-    "type": "object",
-    "properties": {"appraisal": _MENTION_SCHEMA, "baseline": _MENTION_SCHEMA},
-    "required": ["appraisal", "baseline"],
-    "additionalProperties": False,
-}
+COMPARISON_OUTPUT_SCHEMA = _document("Appraisal-vs-baseline comparison output", _closed(
+    {"appraisal": _MENTION_SCHEMA, "baseline": _MENTION_SCHEMA}, "appraisal", "baseline"
+))
 
 SCHEMAS = {
     "registry": REGISTRY_SCHEMA,
@@ -293,6 +208,100 @@ SCHEMAS = {
     "plan_output": PLAN_OUTPUT_SCHEMA,
     "comparison_output": COMPARISON_OUTPUT_SCHEMA,
 }
+
+
+_KEYWORDS = frozenset({
+    "$schema", "title", "type", "properties", "additionalProperties", "required", "items",
+    "minimum", "maximum", "minLength", "enum", "pattern",
+})
+
+
+def compile_schema(schema: dict) -> Callable[[object], bool]:
+    """A predicate that is true exactly when ``schema`` accepts its argument.
+
+    Each node becomes one closure that tests its type and its own keywords
+    together; a list of types is the union of one closure per type.
+    """
+    if not isinstance(schema, dict) or "type" not in schema:
+        raise ValueError(f"a schema node is an object with a type, not {schema!r}")
+    unsupported = sorted(schema.keys() - _KEYWORDS)
+    if schema.get("additionalProperties", False) is not False:
+        unsupported.append("additionalProperties other than false")
+    enum = schema.get("enum", ())
+    if "enum" in schema and not (schema["type"] == "string" and all(map(isinstance, enum, repeat(str)))):
+        unsupported.append("enum other than of strings, with type string")
+    if unsupported:
+        raise ValueError(f"unsupported schema keywords: {', '.join(unsupported)}")
+    if isinstance(schema["type"], str):
+        return _compile_node(schema["type"], schema)
+    branches = [_compile_node(name, schema) for name in schema["type"]]
+    return lambda value: any(branch(value) for branch in branches)
+
+
+def _compile_node(name: str, schema: dict) -> Callable[[object], bool]:
+    """The check of ``schema``'s keywords for an instance of the type ``name``."""
+    get = schema.get
+    if name == "object":
+        check_property = {key: compile_schema(sub) for key, sub in get("properties", {}).items()}.get
+        required, closed = frozenset(get("required", ())), "additionalProperties" in schema
+
+        def check_object(value) -> bool:
+            if not isinstance(value, dict) or not required <= value.keys():
+                return False
+            for key, item in value.items():
+                check = check_property(key)
+                if check is None and closed or check is not None and not check(item):
+                    return False
+            return True
+
+        return check_object
+    if name == "array":
+        if "items" not in schema:
+            return lambda value: isinstance(value, list)
+        if schema["items"] == {"type": "string"}:  # the common case, without a call per item
+            return lambda value: isinstance(value, list) and all(map(isinstance, value, repeat(str)))
+        check_item = compile_schema(schema["items"])
+        return lambda value: isinstance(value, list) and all(map(check_item, value))
+    if name == "string":
+        min_length = get("minLength", 0)
+        if "pattern" not in schema and "enum" not in schema:
+            return lambda value: isinstance(value, str) and len(value) >= min_length
+        search = re.compile(get("pattern", "")).search
+        enum = frozenset(get("enum", ())) if "enum" in schema else None
+        return lambda value: (
+            isinstance(value, str) and len(value) >= min_length
+            and search(value) is not None and (enum is None or value in enum)
+        )
+    if name == "integer":
+        low, high = get("minimum", float("-inf")), get("maximum", float("inf"))
+
+        def check_integer(value) -> bool:
+            if type(value) is int:  # the common case, with one test
+                return low <= value <= high
+            if isinstance(value, float):
+                return value.is_integer() and low <= value <= high
+            return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+        return check_integer
+    if name == "boolean":
+        return lambda value: isinstance(value, bool)
+    if name == "null":
+        return lambda value: value is None
+    raise ValueError(f"unsupported schema type {name!r}")
+
+
+# The wording of a rejection that jsonschema finds no error in.
+NOT_ACCEPTED = "not accepted by its schema"
+
+_compiled: dict[int, tuple[dict, Callable[[object], bool]]] = {}
+
+
+def checker(schema: dict) -> Callable[[object], bool]:
+    """``compile_schema(schema)``, compiled on first use and kept for the process."""
+    entry = _compiled.get(id(schema))
+    if entry is None:  # the schema is kept with its check, so its id is never reused
+        entry = _compiled[id(schema)] = (schema, compile_schema(schema))
+    return entry[1]
 
 
 def load_document(source: str | Path | dict, what: str, schema: dict | None = None):
@@ -318,10 +327,15 @@ def validate(doc, schema: dict, what: str):
     """Return ``doc`` if ``schema`` accepts it, else raise ConfigError naming the JSON path.
 
     For example: ``config $.top_k: 9 is greater than the maximum of 6``.
-    The validator is built from the schema without checking the schema
-    against its metaschema, which would cost more than the validation.
+    The compiled check decides; jsonschema only words a rejection, with a
+    validator built without checking the schema against its metaschema.
     """
+    if checker(schema)(doc):
+        return doc
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
     error = best_match(Draft202012Validator(schema).iter_errors(doc))
-    if error is not None:
-        raise ConfigError(f"{what} {error.json_path}: {error.message}")
-    return doc
+    if error is None:
+        raise ConfigError(f"{what} $: {NOT_ACCEPTED}")
+    raise ConfigError(f"{what} {error.json_path}: {error.message}")

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .context import (
-    UnifiedContext, check_record, integer_at_least, is_nonempty_string, is_string,
-    is_string_list, tally_sentiment_tokens, tokenize,
-)
+from .context import UnifiedContext, tally_sentiment_tokens, tokenize
 from .errors import DuplicateCandidate, IncompleteVector, NoCandidates
 from .lexicons import Lexicons
 from .registry import DIMENSIONS, Dimension
@@ -69,8 +66,7 @@ class Candidate:
 
     @classmethod
     def from_dict(cls, record: dict) -> "Candidate":
-        """The candidate ``record`` holds; InvalidRecord unless ``CANDIDATE_SCHEMA`` accepts it."""
-        check_record(record, _CANDIDATE_FIELDS, _CANDIDATE_REQUIRED, "candidate")
+        """The candidate ``record`` holds, which ``CANDIDATE_SCHEMA`` has accepted."""
         return cls(
             id=record["id"],
             name=record["name"],
@@ -102,18 +98,6 @@ class Candidate:
             tags_lower=_unique(tag.strip().lower() for tag in tags),
             description_tokens=_interned(description),
         )
-
-
-_CANDIDATE_FIELDS = {
-    "id": is_nonempty_string,
-    "name": is_nonempty_string,
-    "description": is_string,
-    "prep_time_minutes": integer_at_least(1),
-    "ingredients": is_string_list,
-    "tags": is_string_list,
-    "customization_options": integer_at_least(0),
-}
-_CANDIDATE_REQUIRED = frozenset({"id", "name", "prep_time_minutes"})
 
 
 @dataclass(frozen=True)

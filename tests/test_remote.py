@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -198,14 +199,45 @@ def test_llm_auth_header_sent(sarah_bundle):
     assert headers.get("Authorization") == "Bearer secret-key"
 
 
-def test_cli_import_leaves_requests_unloaded():
-    # Only the two remote clients need requests, and they import it when called.
-    probe = "import sys, appraisal_explainer.cli; print('requests' in sys.modules)"
+# Each a CLI argv; "explain" reads one document of each of the six input formats.
+_SUCCESS_RUNS = {
+    "import": None,
+    "scenario": ["scenario", "alex", "--out", "{tmp}/out"],
+    "explain": [
+        "explain", "--profile", "{profile}", "--candidates", "{candidates}", "--query", "{query}",
+        "--config", "{tmp}/config.json", "--registry", "{tmp}/registry.json",
+        "--lexicons", "{tmp}/lexicons.json", "--prompts", "{tmp}/prompts.json",
+    ],
+}
+
+
+@pytest.mark.parametrize("run", _SUCCESS_RUNS)
+def test_cli_leaves_jsonschema_and_requests_unloaded(fixture_files, tmp_path, run):
+    # Only the two remote clients need requests, and they import it when
+    # called; jsonschema only words the error of a rejected document.
+    profile, query, candidates = fixture_files("alex")
+    overrides = {
+        "config": {"top_k": 2, "paths": {"registry": None}},
+        "registry": {"dimensions": [{"id": "Urgency", "display_name": "Time pressure"}]},
+        "lexicons": {"sentiment": {"positive": ["tasty"]}},
+        "prompts": {"section_labels": {"profile": "About you"}},
+    }
+    for name, doc in overrides.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [
+        arg.format(tmp=tmp_path, profile=profile, candidates=candidates, query=query)
+        for arg in _SUCCESS_RUNS[run] or ()
+    ]
+    probe = (
+        "import sys, appraisal_explainer.cli\n"
+        "assert not sys.argv[1:] or appraisal_explainer.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted({'jsonschema', 'requests'} & sys.modules.keys()))"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, *argv],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(appraisal_explainer.__file__).parents[1])},
     )
-    assert done.stdout == "False\n"
+    assert done.stdout.splitlines()[-1] == "[]"
     assert salience.request_entailment_scores is request_entailment_scores
     assert explanation.request_chat_completion is request_chat_completion
