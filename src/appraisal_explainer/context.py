@@ -136,6 +136,12 @@ class UserProfile:
         return tuple(dict.fromkeys(self.goals))
 
     @cached_property
+    def goal_tokens(self) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
+        """(goal, first token, other tokens) of each unique goal that has tokens."""
+        split = ((goal, tokenize(goal)) for goal in self.unique_goals)
+        return tuple((goal, tokens[0], tuple(tokens[1:])) for goal, tokens in split if tokens)
+
+    @cached_property
     def unique_constraints(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(self.dietary_constraints))
 

@@ -131,8 +131,9 @@ def realize_template(plan: ExplanationPlan) -> str:
 
     Structure: one recommendation sentence, one sentence per dominant
     dimension quoting its evidence verbatim (score-only phrasing when a
-    dimension carries no evidence), and a closing sentence naming satisfied
-    dietary constraints when the profile has any.
+    dimension carries no evidence), and, when the profile has dietary
+    constraints, a closing sentence from the winner's NormativeSignificance
+    finding: "satisfied" only when it scores 1.0, else its violations.
     """
     lines = [
         f"Recommended: {plan.candidate.name} (composite match {plan.composite:.2f})."
@@ -149,8 +150,11 @@ def realize_template(plan: ExplanationPlan) -> str:
                 f"alignment score {finding.score:.2f}; no direct evidence recorded."
             )
     constraints = plan.context.profile.dietary_constraints
-    if constraints:
+    normative = next(f for f in plan.per_dimension if f.dimension is Dimension.NORMATIVE_SIGNIFICANCE)
+    if constraints and normative.score == 1.0:
         lines.append("Dietary constraints satisfied: " + ", ".join(constraints) + ".")
+    elif constraints:
+        lines.append("Dietary constraints not satisfied: " + "; ".join(normative.evidence) + ".")
     return "\n".join(lines)
 
 

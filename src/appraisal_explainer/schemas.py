@@ -250,7 +250,10 @@ def _compile_node(name: str, schema: dict) -> Callable[[object], bool]:
                 return False
             for key, item in value.items():
                 check = check_property(key)
-                if check is None and closed or check is not None and not check(item):
+                if check is None:
+                    if closed:
+                        return False
+                elif not check(item):
                     return False
             return True
 

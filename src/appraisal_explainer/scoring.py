@@ -160,8 +160,12 @@ def _score_goal_relevance(candidate, context, lexicons):
     goals = context.profile.unique_goals
     if not goals:
         return 0.0, ()
+    # A goal matches when each of its tokens is a term; most goals are one word.
     terms = candidate.features.terms
-    matched = sorted(goal for goal in goals if goal in terms)
+    matched = sorted(
+        goal for goal, first, rest in context.profile.goal_tokens
+        if first in terms and (not rest or all(token in terms for token in rest))
+    )
     score = _clamp01(len(matched) / max(1, len(goals)))
     if not matched:
         return score, ()
@@ -199,7 +203,8 @@ def _score_agency(candidate, context, lexicons):
     score = min(1.0, total / AGENCY_SATURATION)
     evidence: list[str] = []
     if candidate.customization_options > 0:
-        evidence.append(f"{candidate.customization_options} documented customization options")
+        plural = "" if candidate.customization_options == 1 else "s"
+        evidence.append(f"{candidate.customization_options} documented customization option{plural}")
     if hits:
         evidence.append("customization tags matched: " + ", ".join(hits))
     return _clamp01(score), tuple(evidence)

@@ -154,6 +154,27 @@ def test_explain_template_matches_golden(capsys, fixture_files, name):
     assert outputs[0] == outputs[1] == outputs[2] == golden
 
 
+def test_explain_dietary_line_reports_the_winners_violation(capsys, fixture_files, tmp_path):
+    # Without the normative filter a beef dish can win for a vegetarian; the
+    # closing line must then say so, not call the constraint satisfied.
+    profile, query, candidates = fixture_files("alex")
+    steak = {
+        "id": "quick-steak", "name": "Quick Steak", "description": "Seared beef steak.",
+        "prep_time_minutes": 15, "ingredients": ["beef steak", "pasta"],
+        "tags": ["customizable", "variety"], "customization_options": 5,
+    }
+    catalog = tmp_path / "with_steak.json"
+    catalog.write_text(json.dumps([*json.loads(Path(candidates).read_text()), steak]))
+    args = ["explain", "--profile", profile, "--query", query, "--candidates", str(catalog)]
+    code, out, _ = _run(capsys, [*args, "--no-normative-filter"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("Recommended: Quick Steak ")
+    assert lines[-1] == "Dietary constraints not satisfied: violates 'vegetarian': not tagged vegetarian."
+    code, out, _ = _run(capsys, args)
+    assert (code, out.splitlines()[-1]) == (0, "Dietary constraints satisfied: vegetarian.")
+
+
 def test_explain_compare_structure(capsys, fixture_files):
     profile, query, candidates = fixture_files("sarah")
     code, out, _ = _run(

@@ -76,6 +76,18 @@ def test_goal_relevance_half_match(registry, lexicons):
     assert evidence == ("matches your goals: healthy",)
 
 
+def test_goal_relevance_matches_multi_word_goals(registry, lexicons):
+    # A goal matches when each of its tokens is among the candidate's terms;
+    # "high fiber" lacks "fiber", and a goal with no tokens never matches.
+    goals = ("High Protein", "low-carb", "high fiber", "!!!")
+    profile = UserProfile(user_id="u", goals=goals)
+    context = _context(registry, lexicons, profile, "dinner")
+    candidate = Candidate(id="c", name="High Protein Bowl", tags=("protein", "low carb"))
+    score, evidence = score_dimension(candidate, Dimension.GOAL_RELEVANCE, context, lexicons)
+    assert score == 0.5
+    assert evidence == ("matches your goals: high protein, low-carb",)
+
+
 def test_valence_neutral_description(registry, lexicons):
     profile = UserProfile(user_id="u")
     context = _context(registry, lexicons, profile, "dinner")
