@@ -4,6 +4,16 @@ Every dimension score lands in [0, 1] and every nonzero score carries at
 least one human-readable evidence string; the explanation stage quotes the
 evidence verbatim. Composite scores accumulate in the fixed dimension order
 so results are bit-reproducible.
+
+Some checks depend only on the candidate and the lexicons, never on the
+profile or the query: Valence (description sentiment), Agency (customization
+options and tags) and Urgency's keyword part. Scherer's component process
+model calls such checks intrinsic to the stimulus. They are computed on a
+candidate's first appraisal and kept on the candidate, keyed by the identity
+of the ``Lexicons`` object, and reused by every later query with the same
+lexicons; other lexicons recompute and replace them. Urgency's time fit, Goal
+Relevance, Predictability and Normative Significance read the profile or the
+query, so they are scored on every appraisal.
 """
 
 from __future__ import annotations
@@ -63,6 +73,12 @@ class Candidate:
     ingredients: tuple[str, ...] = ()
     tags: tuple[str, ...] = ()
     customization_options: int = 0
+
+    def __post_init__(self):
+        # The slot ``_intrinsic_parts`` keeps its cache in. Set here, it shares
+        # the class's dict keys; added after ``features`` has materialized the
+        # instance dict, it would cost a private dict of about 400 bytes.
+        object.__setattr__(self, "_intrinsic", None)
 
     @classmethod
     def from_dict(cls, record: dict) -> "Candidate":
@@ -133,7 +149,15 @@ def _clamp01(value: float) -> float:
     return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
 
 
-def _score_urgency(candidate, context, lexicons):
+def _urgency_keywords(candidate, lexicons):
+    """Urgency's query-independent part: the keyword share and its evidence, or None."""
+    hits = sorted(lexicons.words_for(Dimension.URGENCY).intersection(candidate.features.terms))
+    if not hits:
+        return 0.0, None
+    return min(1.0, len(hits) / URGENCY_KEYWORD_SATURATION), "urgency keywords matched: " + ", ".join(hits)
+
+
+def _score_urgency(candidate, context, keyword_part, keyword_evidence):
     limit = context.time_constraint_minutes
     prep = candidate.prep_time_minutes
     if limit is None:
@@ -145,18 +169,15 @@ def _score_urgency(candidate, context, lexicons):
             time_evidence = f"prep time {prep} min is within the {limit} minutes available"
         else:
             time_evidence = f"prep time {prep} min exceeds the {limit} minutes available"
-    hits = sorted(lexicons.words_for(Dimension.URGENCY).intersection(candidate.features.terms))
-    keyword_part = min(1.0, len(hits) / URGENCY_KEYWORD_SATURATION)
     score = _clamp01(
         URGENCY_TIME_WEIGHT * time_fit + URGENCY_KEYWORD_WEIGHT * keyword_part
     )
-    evidence = [time_evidence]
-    if hits:
-        evidence.append("urgency keywords matched: " + ", ".join(hits))
-    return score, tuple(evidence)
+    if keyword_evidence is None:
+        return score, (time_evidence,)
+    return score, (time_evidence, keyword_evidence)
 
 
-def _score_goal_relevance(candidate, context, lexicons):
+def _score_goal_relevance(candidate, context):
     goals = context.profile.unique_goals
     if not goals:
         return 0.0, ()
@@ -172,7 +193,7 @@ def _score_goal_relevance(candidate, context, lexicons):
     return score, ("matches your goals: " + ", ".join(matched),)
 
 
-def _score_valence(candidate, context, lexicons):
+def _score_valence(candidate, lexicons):
     tally = tally_sentiment_tokens(candidate.features.description_tokens, lexicons)
     pos, neg = tally.positive_hits, tally.negative_hits
     score = _clamp01(0.5 + 0.5 * (pos - neg) / max(1, pos + neg))
@@ -184,7 +205,7 @@ def _score_valence(candidate, context, lexicons):
     return score, (evidence,)
 
 
-def _score_predictability(candidate, context, lexicons):
+def _score_predictability(candidate, context):
     items = candidate.features.items
     familiar = context.profile.familiar_set
     shared = sorted(familiar.intersection(items))
@@ -197,7 +218,7 @@ def _score_predictability(candidate, context, lexicons):
     return score, ("shares familiar items: " + ", ".join(shared),)
 
 
-def _score_agency(candidate, context, lexicons):
+def _score_agency(candidate, lexicons):
     hits = sorted(lexicons.words_for(Dimension.AGENCY).intersection(candidate.features.tag_tokens))
     total = candidate.customization_options + len(hits)
     score = min(1.0, total / AGENCY_SATURATION)
@@ -233,7 +254,7 @@ def _constraint_satisfied(constraint: str, candidate: Candidate) -> tuple[bool, 
     return False, f"not tagged {constraint}"
 
 
-def _score_normative(candidate, context, lexicons):
+def _score_normative(candidate, context):
     constraints = context.profile.unique_constraints
     if not constraints:
         return 1.0, ("no dietary constraints apply",)
@@ -247,15 +268,24 @@ def _score_normative(candidate, context, lexicons):
     return 1.0, ("satisfies dietary constraints: " + ", ".join(constraints),)
 
 
-# Each dimension's scorer; all take (candidate, context, lexicons).
-_SCORERS = {
-    Dimension.PREDICTABILITY_SURPRISE: _score_predictability,
-    Dimension.GOAL_RELEVANCE: _score_goal_relevance,
-    Dimension.VALENCE: _score_valence,
-    Dimension.URGENCY: _score_urgency,
-    Dimension.AGENCY: _score_agency,
-    Dimension.NORMATIVE_SIGNIFICANCE: _score_normative,
-}
+def _intrinsic_parts(candidate: Candidate, lexicons: Lexicons) -> tuple:
+    """The candidate's lexicon-only parts, computed once per ``lexicons`` and kept.
+
+    One flat tuple: (lexicons, urgency keyword part, its evidence or None,
+    valence score, valence evidence, agency score, agency evidence). It holds
+    the lexicons themselves, so the identity test cannot match a new object
+    that reuses a freed one's id.
+    """
+    cached = candidate._intrinsic
+    if cached is None or cached[0] is not lexicons:
+        cached = (
+            lexicons,
+            *_urgency_keywords(candidate, lexicons),
+            *_score_valence(candidate, lexicons),
+            *_score_agency(candidate, lexicons),
+        )
+        object.__setattr__(candidate, "_intrinsic", cached)
+    return cached
 
 
 def score_dimension(
@@ -264,8 +294,15 @@ def score_dimension(
     context: UnifiedContext,
     lexicons: Lexicons,
 ) -> tuple[float, tuple[str, ...]]:
-    """Score ``candidate`` on one dimension; returns (score in [0,1], evidence)."""
-    return _SCORERS[dim](candidate, context, lexicons)
+    """Score ``candidate`` on one dimension; returns (score in [0,1], evidence).
+
+    Read off the candidate's appraisal vector, so it always agrees with it.
+    """
+    vector = appraisal_vector(candidate, context, lexicons)
+    return vector.scores[dim], vector.evidence[dim]
+
+
+_PREDICTABILITY, _GOAL, _VALENCE, _URGENCY, _AGENCY, _NORMATIVE = DIMENSIONS
 
 
 def appraisal_vector(
@@ -274,11 +311,25 @@ def appraisal_vector(
     lexicons: Lexicons,
 ) -> AppraisalVector:
     """All six dimension scores for one candidate."""
-    scores: dict[Dimension, float] = {}
-    evidence: dict[Dimension, tuple[str, ...]] = {}
-    for dim in DIMENSIONS:
-        scores[dim], evidence[dim] = _SCORERS[dim](candidate, context, lexicons)
-    return AppraisalVector(candidate_id=candidate.id, scores=scores, evidence=evidence)
+    _, keyword_part, keyword_evidence, valence, valence_evidence, agency, agency_evidence = (
+        _intrinsic_parts(candidate, lexicons)
+    )
+    urgency, urgency_evidence = _score_urgency(candidate, context, keyword_part, keyword_evidence)
+    predictability, predictability_evidence = _score_predictability(candidate, context)
+    goal, goal_evidence = _score_goal_relevance(candidate, context)
+    normative, normative_evidence = _score_normative(candidate, context)
+    return AppraisalVector(
+        candidate.id,
+        {
+            _PREDICTABILITY: predictability, _GOAL: goal, _VALENCE: valence,
+            _URGENCY: urgency, _AGENCY: agency, _NORMATIVE: normative,
+        },
+        {
+            _PREDICTABILITY: predictability_evidence, _GOAL: goal_evidence,
+            _VALENCE: valence_evidence, _URGENCY: urgency_evidence,
+            _AGENCY: agency_evidence, _NORMATIVE: normative_evidence,
+        },
+    )
 
 
 def composite_score(vector: AppraisalVector, salience: SalienceProfile) -> float:
@@ -288,12 +339,13 @@ def composite_score(vector: AppraisalVector, salience: SalienceProfile) -> float
     floating point (0.4 + 0.2 + 0.3 + 0.1 is 1.0000000000000002).
     """
     scores, weights = vector.scores, salience.weights
-    missing = [dim.value for dim in DIMENSIONS if dim not in scores or dim not in weights]
-    if missing:
-        raise IncompleteVector(f"missing dimensions: {missing}")
     total = 0.0
-    for dim in DIMENSIONS:
-        total += weights[dim] * scores[dim]
+    try:
+        for dim in DIMENSIONS:
+            total += weights[dim] * scores[dim]
+    except KeyError:
+        missing = [dim.value for dim in DIMENSIONS if dim not in scores or dim not in weights]
+        raise IncompleteVector(f"missing dimensions: {missing}") from None
     return _clamp01(total)
 
 

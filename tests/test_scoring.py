@@ -18,6 +18,7 @@ from appraisal_explainer import (
     build_unified_context,
     composite_score,
     compute_salience,
+    load_lexicons,
     rank_candidates,
     rank_vectors,
     score_dimension,
@@ -209,7 +210,17 @@ def test_composite_missing_dimension_rejected():
     salience = _salience([1 / 6] * 6)
     scores = {dim: 0.5 for dim in DIMS[:5]}
     vector = AppraisalVector(candidate_id="c", scores=scores, evidence={})
-    with pytest.raises(IncompleteVector):
+    with pytest.raises(IncompleteVector, match=r"^missing dimensions: \['NormativeSignificance'\]$"):
+        composite_score(vector, salience)
+
+
+def test_composite_names_every_missing_dimension_in_order():
+    # One missing from the weights, one from the scores: both named, in dimension order.
+    salience = _salience([1 / 6] * 6)
+    del salience.weights[Dimension.AGENCY]
+    scores = {dim: 0.5 for dim in DIMS if dim is not Dimension.GOAL_RELEVANCE}
+    vector = AppraisalVector(candidate_id="c", scores=scores, evidence={})
+    with pytest.raises(IncompleteVector, match=r"^missing dimensions: \['GoalRelevance', 'Agency'\]$"):
         composite_score(vector, salience)
 
 
@@ -437,6 +448,93 @@ def test_ranking_ignores_input_order(candidates, profile, query, data, registry,
     assert ranked.entries == reranked.entries
     by_id = attrgetter("candidate_id")
     assert sorted(ranked.excluded, key=by_id) == sorted(reranked.excluded, key=by_id)
+
+
+# Moves the words the kept parts read: the sentiment, urgency and agency lists.
+LEXICON_OVERRIDE = {
+    "dimensions": {"Urgency": ["stew", "bowl", "roast"], "Agency": ["spicy", "greens", "tofu"]},
+    "sentiment": {"positive": ["beans", "herbs", "salad", "boring"]},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    candidates=random_candidates(), profile=random_profiles(),
+    queries=st.lists(QUERIES, min_size=2, max_size=5),
+)
+@example(
+    candidates=[Candidate(
+        id="c", name="Stew", description="quick beans stew, boring", tags=("customizable", "spicy"),
+    )],
+    profile=UserProfile(user_id="u"), queries=["feed me", "feed me", "feed me"],
+)
+def test_warm_vector_equals_a_fresh_candidates(candidates, profile, queries, registry, lexicons):
+    # Queries alternate the bundled lexicons and an override, so parts kept
+    # for the other lexicons would show as a difference.
+    both = (lexicons, load_lexicons(LEXICON_OVERRIDE))
+    for index, query in enumerate(queries):
+        lex = both[index % 2]
+        context = _context(registry, lex, profile, query)
+        for candidate in candidates:
+            fresh = Candidate.from_dict(dataclasses.asdict(candidate))
+            assert appraisal_vector(candidate, context, lex) == appraisal_vector(fresh, context, lex)
+
+
+def test_kept_parts_follow_the_lexicons(registry, lexicons):
+    candidate = Candidate(id="c", name="Stew", description="beans stew", tags=("spicy",))
+    override = load_lexicons(LEXICON_OVERRIDE)
+    context = _context(registry, lexicons, UserProfile(user_id="u"), "feed me")
+    bundled = appraisal_vector(candidate, context, lexicons)
+    overridden = appraisal_vector(candidate, context, override)
+    assert bundled.evidence[Dimension.VALENCE] == ("description sentiment: neutral (no lexicon matches)",)
+    assert overridden.evidence[Dimension.VALENCE] == ("description sentiment: 1 positive, 0 negative (beans)",)
+    assert overridden.evidence[Dimension.URGENCY][1:] == ("urgency keywords matched: stew",)
+    assert overridden.evidence[Dimension.AGENCY] == ("customization tags matched: spicy",)
+    assert appraisal_vector(candidate, context, lexicons) == bundled
+
+
+def test_kept_parts_retain_little_memory(registry, lexicons):
+    # Plain candidates: the kept tuple, one evidence tuple and two floats are
+    # about 190 bytes. An attribute added after ``features`` has materialized
+    # the instance dict would add a private dict of about 400 bytes.
+    candidates = [Candidate(id=f"c{index}", name="Plain dish") for index in range(2000)]
+    context = _context(registry, lexicons, UserProfile(user_id="u"), "dinner")
+    for candidate in candidates:
+        candidate.features
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for candidate in candidates:
+            appraisal_vector(candidate, context, lexicons)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(candidates) <= 320
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    candidates=random_candidates(), extra=random_candidates(), profile=random_profiles(),
+    query=QUERIES, filter_normative=st.booleans(),
+)
+def test_adding_a_candidate_never_reorders_the_others(
+    candidates, extra, profile, query, filter_normative, registry, lexicons
+):
+    context = _context(registry, lexicons, profile, query)
+    salience = compute_salience(context, registry)
+    added = dataclasses.replace(extra[0], id="added")
+
+    def ranked_ids(catalog):
+        ranked = rank_candidates(
+            catalog, context, salience, lexicons=lexicons, filter_normative=filter_normative
+        )
+        entries = [entry.candidate_id for entry in ranked.entries]
+        return entries, [exclusion.candidate_id for exclusion in ranked.excluded]
+
+    entries, excluded = ranked_ids(candidates)
+    more_entries, more_excluded = ranked_ids([*candidates, added])
+    assert [cid for cid in more_entries if cid != "added"] == entries
+    assert [cid for cid in more_excluded if cid != "added"] == excluded
 
 
 def test_run_pipeline_scores_through_the_module_global(monkeypatch, alex):
