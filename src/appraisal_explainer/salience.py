@@ -110,8 +110,12 @@ def normalize(raw: dict[Dimension, float]) -> dict[Dimension, float]:
 
 
 def dominant_dimensions(weights: dict[Dimension, float], k: int = 3) -> tuple[Dimension, ...]:
-    """Top-k dimensions by weight, ties broken by the fixed dimension order."""
-    ordered = sorted(Dimension, key=lambda dim: (-weights[dim], dim.order))
+    """Up to k dimensions by weight, ties broken by the fixed dimension order.
+
+    ``k`` is a cap, not a quota: a dimension with zero weight is never dominant.
+    """
+    weighted = (dim for dim in Dimension if weights[dim] > 0)
+    ordered = sorted(weighted, key=lambda dim: (-weights[dim], dim.order))
     return tuple(ordered[: max(0, k)])
 
 

@@ -41,11 +41,7 @@ def alex_plan(alex, alex_context, registry, lexicons):
 
 
 def test_sarah_plan_dominant_set(sarah_plan):
-    assert {f.dimension for f in sarah_plan.dominant} == {
-        Dimension.URGENCY,
-        Dimension.GOAL_RELEVANCE,
-        Dimension.PREDICTABILITY_SURPRISE,
-    }
+    assert [f.dimension for f in sarah_plan.dominant] == [Dimension.URGENCY, Dimension.GOAL_RELEVANCE]
     assert sarah_plan.candidate.id == "veggie-stir-fry"
     assert "time limit: 15 minutes" in sarah_plan.context_summary
 

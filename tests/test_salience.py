@@ -137,13 +137,8 @@ def _keeps_strict_order(before, after):
 
 def test_dominant_sarah(sarah_context, registry):
     weights = normalize(lexical_salience(sarah_context, registry))
-    dominant = dominant_dimensions(weights, k=3)
-    assert set(dominant) == {
-        Dimension.URGENCY,
-        Dimension.GOAL_RELEVANCE,
-        Dimension.PREDICTABILITY_SURPRISE,
-    }
-    assert dominant[0] == Dimension.URGENCY
+    # The other four weigh 0: top_k is a cap, so two are dominant.
+    assert dominant_dimensions(weights, k=3) == (Dimension.URGENCY, Dimension.GOAL_RELEVANCE)
 
 
 def test_dominant_uniform_uses_enum_order():
@@ -153,6 +148,22 @@ def test_dominant_uniform_uses_enum_order():
         Dimension.GOAL_RELEVANCE,
         Dimension.VALENCE,
     )
+
+
+@given(
+    raw=st.lists(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 2.0]), min_size=6, max_size=6),
+    k=st.integers(min_value=0, max_value=6),
+)
+def test_dominant_is_capped_and_never_zero_weight(raw, k):
+    weights = dict(zip(Dimension, raw))
+    dominant = dominant_dimensions(weights, k=k)
+    positive = [dim for dim in Dimension if weights[dim] > 0]
+    assert len(dominant) == min(k, len(positive))
+    assert all(weights[dim] > 0 for dim in dominant)
+    # The heaviest first; a left-out dimension weighs no more than any chosen one.
+    assert [weights[dim] for dim in dominant] == sorted((weights[dim] for dim in dominant), reverse=True)
+    if dominant:
+        assert all(weights[dim] <= weights[dominant[-1]] for dim in positive if dim not in dominant)
 
 
 def test_dominant_k6_sorted_by_weight_then_order():
@@ -172,7 +183,7 @@ def test_compute_salience_profile_shape(sarah_context, registry):
     profile = compute_salience(sarah_context, registry, k=3)
     assert profile.scorer_id == "lexical"
     assert abs(sum(profile.weights.values()) - 1.0) <= 1e-9
-    assert len(profile.dominant) == 3
+    assert len(profile.dominant) == 2  # only two dimensions weigh more than 0
 
 
 def test_compute_salience_remote_without_endpoint_raises(sarah_context, registry, monkeypatch):
