@@ -131,24 +131,24 @@ def realize_template(plan: ExplanationPlan) -> str:
 
     Structure: one recommendation sentence, one sentence per dominant
     dimension quoting its evidence verbatim (score-only phrasing when a
-    dimension carries no evidence), and, when the profile has dietary
-    constraints, a closing sentence from the winner's NormativeSignificance
-    finding: "satisfied" only when it scores 1.0, else its violations.
+    dimension carries no evidence; "counts against this choice" when it
+    scores 0, as a violated constraint does), and, when the profile has
+    dietary constraints, a closing sentence from the winner's
+    NormativeSignificance finding: "satisfied" only when it scores 1.0, else
+    its violations.
     """
     lines = [
         f"Recommended: {plan.candidate.name} (composite match {plan.composite:.2f})."
     ]
     for finding in plan.dominant:
-        if finding.evidence:
-            lines.append(
-                f"{finding.display_name} (weight {finding.weight:.2f}): "
-                f"favored because {'; '.join(finding.evidence)}."
-            )
+        head = f"{finding.display_name} (weight {finding.weight:.2f}): "
+        evidence = "; ".join(finding.evidence)
+        if not finding.evidence:
+            lines.append(head + f"alignment score {finding.score:.2f}; no direct evidence recorded.")
+        elif finding.score == 0.0:
+            lines.append(head + f"counts against this choice: {evidence}.")
         else:
-            lines.append(
-                f"{finding.display_name} (weight {finding.weight:.2f}): "
-                f"alignment score {finding.score:.2f}; no direct evidence recorded."
-            )
+            lines.append(head + f"favored because {evidence}.")
     constraints = plan.context.profile.dietary_constraints
     normative = next(f for f in plan.per_dimension if f.dimension is Dimension.NORMATIVE_SIGNIFICANCE)
     if constraints and normative.score == 1.0:

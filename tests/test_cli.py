@@ -172,6 +172,33 @@ def test_explain_dietary_line_reports_the_winners_violation(capsys, fixture_file
     assert (code, out.splitlines()[-1]) == (0, "Dietary constraints satisfied: vegetarian.")
 
 
+def test_explain_words_a_dominant_violation_against_the_choice(capsys, fixture_files, tmp_path):
+    # The query makes Normative Significance dominant; the beef winner
+    # violates it, so that line must not say "favored because".
+    profile, _, candidates = fixture_files("alex")
+    steak = {
+        "id": "quick-steak", "name": "Quick Steak", "description": "Seared beef steak.",
+        "prep_time_minutes": 15, "ingredients": ["beef steak", "pasta"],
+        "tags": ["customizable", "variety"], "customization_options": 5,
+    }
+    catalog = tmp_path / "with_steak.json"
+    catalog.write_text(json.dumps([*json.loads(Path(candidates).read_text()), steak]))
+    query = "Surprise me with something new, it must be allowed by my diet, ethical and appropriate"
+    code, out, _ = _run(capsys, [
+        "explain", "--profile", profile, "--query", query, "--candidates", str(catalog),
+        "--no-normative-filter",
+    ])
+    assert code == 0
+    assert out.splitlines() == [
+        "Recommended: Quick Steak (composite match 0.38).",
+        "Predictability and Surprise (weight 0.46): favored because shares familiar items: pasta.",
+        "Goal Relevance (weight 0.23): favored because matches your goals: variety.",
+        "Normative Significance (weight 0.23): counts against this choice: "
+        "violates 'vegetarian': not tagged vegetarian.",
+        "Dietary constraints not satisfied: violates 'vegetarian': not tagged vegetarian.",
+    ]
+
+
 def test_explain_compare_structure(capsys, fixture_files):
     profile, query, candidates = fixture_files("sarah")
     code, out, _ = _run(
