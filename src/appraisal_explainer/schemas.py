@@ -56,6 +56,8 @@ def _document(title: str, schema: dict) -> dict:
 
 _STRING = {"type": "string"}
 _NONEMPTY_STRING = {"type": "string", "minLength": 1}
+# At least one non-whitespace character; an empty string still reads "should be non-empty".
+_VISIBLE_STRING = {"type": "string", "minLength": 1, "pattern": "\\S"}
 # Empty keeps the bundled text; whitespace alone is rejected.
 _TEXT_OVERRIDE = {"type": "string", "pattern": "^$|\\S"}
 _STRING_ARRAY = {"type": "array", "items": _STRING}
@@ -100,8 +102,8 @@ PROFILE_SCHEMA = _document("User profile", _closed(
 
 CANDIDATE_SCHEMA = _closed(
     {
-        "id": _NONEMPTY_STRING,
-        "name": _NONEMPTY_STRING,
+        "id": _VISIBLE_STRING,
+        "name": _VISIBLE_STRING,
         "description": _STRING,
         "prep_time_minutes": {"type": "integer", "minimum": 1},
         "ingredients": _STRING_ARRAY,

@@ -498,6 +498,18 @@ def test_rejected_document_error_is_unchanged(capsys, fixture_files, tmp_path, w
     assert err == f"error: {what} file {bad} failed validation: {message}\n"
 
 
+def test_whitespace_only_candidate_name_is_rejected(capsys, fixture_files, tmp_path):
+    # Whitespace alone would print "Recommended:     (composite match ...)".
+    profile, query, _ = fixture_files("sarah")
+    bad = tmp_path / "bad.json"
+    bad.write_text('[{"id": "a", "name": "   ", "prep_time_minutes": 5}]')
+    code, out, err = _run(
+        capsys, ["explain", "--profile", profile, "--query", query, "--candidates", str(bad)]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: candidates file {bad} failed validation: '   ' does not match '\\\\S'\n"
+
+
 @pytest.mark.parametrize("flag", ["--candidates", "--profile", "--config"])
 def test_non_utf8_input_is_an_input_error(capsys, fixture_files, tmp_path, flag):
     profile, query, candidates = fixture_files("sarah")

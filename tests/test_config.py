@@ -148,6 +148,10 @@ def _near(draw, schema: dict):
 @example({**GOOD, "customization_options": -1})
 @example({**GOOD, "id": ""})
 @example({**GOOD, "name": ""})
+@example({**GOOD, "id": " "})
+@example({**GOOD, "name": "\t\n "})
+@example({**GOOD, "name": "\u00a0"})
+@example({**GOOD, "id": " a ", "name": "\u3000b"})
 @example({**GOOD, "price": 3})
 @example({"id": "a", "prep_time_minutes": 5})
 @example({**GOOD, "tags": ("quick",)})
