@@ -1,8 +1,11 @@
 import dataclasses
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -493,23 +496,35 @@ def test_kept_parts_follow_the_lexicons(registry, lexicons):
     assert appraisal_vector(candidate, context, lexicons) == bundled
 
 
-def test_kept_parts_retain_little_memory(registry, lexicons):
+# Run in a fresh interpreter: whether a late attribute costs a private dict
+# depends on the keys earlier instances of the class have shared.
+_KEPT_PARTS_PROBE = """
+import tracemalloc
+from appraisal_explainer import (
+    Candidate, Query, UserProfile, appraisal_vector, build_unified_context, load_lexicons, load_registry,
+)
+lexicons = load_lexicons()
+context = build_unified_context(UserProfile(user_id="u"), Query(text="dinner"), load_registry(), lexicons)
+candidates = [Candidate(id=f"c{index}", name="Plain dish") for index in range(2000)]
+for candidate in candidates:
+    candidate.features
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+for candidate in candidates:
+    appraisal_vector(candidate, context, lexicons)
+print((tracemalloc.get_traced_memory()[0] - before) / len(candidates))
+"""
+
+
+def test_kept_parts_retain_little_memory():
     # Plain candidates: the kept tuple, one evidence tuple and two floats are
     # about 190 bytes. An attribute added after ``features`` has materialized
     # the instance dict would add a private dict of about 400 bytes.
-    candidates = [Candidate(id=f"c{index}", name="Plain dish") for index in range(2000)]
-    context = _context(registry, lexicons, UserProfile(user_id="u"), "dinner")
-    for candidate in candidates:
-        candidate.features
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for candidate in candidates:
-            appraisal_vector(candidate, context, lexicons)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert retained / len(candidates) <= 320
+    done = subprocess.run(
+        [sys.executable, "-c", _KEPT_PARTS_PROBE], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(scoring.__file__).parents[1])},
+    )
+    assert float(done.stdout) <= 320
 
 
 @settings(max_examples=60, deadline=None)
