@@ -151,10 +151,8 @@ def test_explain_template_matches_golden(capsys, fixture_files, name):
     assert outputs[0] == outputs[1] == outputs[2] == golden
 
 
-def test_explain_dietary_line_reports_the_winners_violation(capsys, fixture_files, tmp_path):
-    # Without the normative filter a beef dish can win for a vegetarian; the
-    # closing line must then say so, not call the constraint satisfied.
-    profile, query, candidates = fixture_files("alex")
+def _with_steak(candidates, tmp_path):
+    """The candidates file plus a beef dish that wins for alex without the normative filter."""
     steak = {
         "id": "quick-steak", "name": "Quick Steak", "description": "Seared beef steak.",
         "prep_time_minutes": 15, "ingredients": ["beef steak", "pasta"],
@@ -162,7 +160,15 @@ def test_explain_dietary_line_reports_the_winners_violation(capsys, fixture_file
     }
     catalog = tmp_path / "with_steak.json"
     catalog.write_text(json.dumps([*json.loads(Path(candidates).read_text()), steak]))
-    args = ["explain", "--profile", profile, "--query", query, "--candidates", str(catalog)]
+    return str(catalog)
+
+
+def test_explain_dietary_line_reports_the_winners_violation(capsys, fixture_files, tmp_path):
+    # Without the normative filter a beef dish can win for a vegetarian; the
+    # closing line must then say so, not call the constraint satisfied.
+    profile, query, candidates = fixture_files("alex")
+    catalog = _with_steak(candidates, tmp_path)
+    args = ["explain", "--profile", profile, "--query", query, "--candidates", catalog]
     code, out, _ = _run(capsys, [*args, "--no-normative-filter"])
     assert code == 0
     lines = out.splitlines()
@@ -176,17 +182,10 @@ def test_explain_words_a_dominant_violation_against_the_choice(capsys, fixture_f
     # The query makes Normative Significance dominant; the beef winner
     # violates it, so that line must not say "favored because".
     profile, _, candidates = fixture_files("alex")
-    steak = {
-        "id": "quick-steak", "name": "Quick Steak", "description": "Seared beef steak.",
-        "prep_time_minutes": 15, "ingredients": ["beef steak", "pasta"],
-        "tags": ["customizable", "variety"], "customization_options": 5,
-    }
-    catalog = tmp_path / "with_steak.json"
-    catalog.write_text(json.dumps([*json.loads(Path(candidates).read_text()), steak]))
     query = "Surprise me with something new, it must be allowed by my diet, ethical and appropriate"
     code, out, _ = _run(capsys, [
-        "explain", "--profile", profile, "--query", query, "--candidates", str(catalog),
-        "--no-normative-filter",
+        "explain", "--profile", profile, "--query", query,
+        "--candidates", _with_steak(candidates, tmp_path), "--no-normative-filter",
     ])
     assert code == 0
     assert out.splitlines() == [
