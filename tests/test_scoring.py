@@ -471,7 +471,7 @@ LEXICON_OVERRIDE = {
     )],
     profile=UserProfile(user_id="u"), queries=["feed me", "feed me", "feed me"],
 )
-def test_warm_vector_equals_a_fresh_candidates(candidates, profile, queries, registry, lexicons):
+def test_warm_candidate_scores_like_a_fresh_record(candidates, profile, queries, registry, lexicons):
     # Queries alternate the bundled lexicons and an override, so parts kept
     # for the other lexicons would show as a difference.
     both = (lexicons, load_lexicons(LEXICON_OVERRIDE))
