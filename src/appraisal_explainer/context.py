@@ -181,6 +181,11 @@ class UnifiedContext:
     sentiment: SentimentTally
     keyword_hits: dict[Dimension, SourceHits] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # Where scoring keeps this context's compiled situational checks, built
+        # on its first appraisal; the context is immutable, so they never go stale.
+        object.__setattr__(self, "_situational", None)
+
 
 def _ordered_matches(tokens: list[str], words: frozenset[str]) -> tuple[str, ...]:
     seen: set[str] = set()

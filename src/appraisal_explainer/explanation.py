@@ -28,7 +28,7 @@ from .remote import ChatEndpoint, request_chat_completion
 from .runlog import RunLog
 from .salience import SalienceProfile
 from .schemas import PROMPTS_SCHEMA, load_document
-from .scoring import Candidate, RankedList
+from .scoring import VALENCE_MIDPOINT, Candidate, RankedList
 
 MODE_APPRAISAL = "appraisal"
 MODE_BASELINE = "baseline"
@@ -132,7 +132,9 @@ def realize_template(plan: ExplanationPlan) -> str:
     Structure: one recommendation sentence, one sentence per dominant
     dimension quoting its evidence verbatim (score-only phrasing when a
     dimension carries no evidence; "counts against this choice" when it
-    scores 0, as a violated constraint does), and, when the profile has
+    scores 0, as a violated constraint does, or when Valence scores below its
+    midpoint; "neither favors nor counts against this choice" for a Valence
+    at its midpoint, a neutral description), and, when the profile has
     dietary constraints, a closing sentence from the winner's
     NormativeSignificance finding: "satisfied" only when it scores 1.0, else
     its violations.
@@ -143,10 +145,13 @@ def realize_template(plan: ExplanationPlan) -> str:
     for finding in plan.dominant:
         head = f"{finding.display_name} (weight {finding.weight:.2f}): "
         evidence = "; ".join(finding.evidence)
+        valence = finding.dimension is Dimension.VALENCE
         if not finding.evidence:
             lines.append(head + f"alignment score {finding.score:.2f}; no direct evidence recorded.")
-        elif finding.score == 0.0:
+        elif finding.score == 0.0 or (valence and finding.score < VALENCE_MIDPOINT):
             lines.append(head + f"counts against this choice: {evidence}.")
+        elif valence and finding.score == VALENCE_MIDPOINT:
+            lines.append(head + f"neither favors nor counts against this choice: {evidence}.")
         else:
             lines.append(head + f"favored because {evidence}.")
     constraints = plan.context.profile.dietary_constraints

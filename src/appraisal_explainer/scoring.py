@@ -5,15 +5,23 @@ least one human-readable evidence string; the explanation stage quotes the
 evidence verbatim. Composite scores accumulate in the fixed dimension order
 so results are bit-reproducible.
 
-Some checks depend only on the candidate and the lexicons, never on the
-profile or the query: Valence (description sentiment), Agency (customization
-options and tags) and Urgency's keyword part. Scherer's component process
-model calls such checks intrinsic to the stimulus. They are computed on a
-candidate's first appraisal and kept on the candidate, keyed by the identity
-of the ``Lexicons`` object, and reused by every later query with the same
-lexicons; other lexicons recompute and replace them. Urgency's time fit, Goal
-Relevance, Predictability and Normative Significance read the profile or the
-query, so they are scored on every appraisal.
+The checks split as in Scherer's component process model:
+
+- Intrinsic checks depend only on the candidate and the lexicons, never on
+  the profile or the query: Valence (description sentiment), Agency
+  (customization options and tags) and Urgency's keyword part. They are
+  computed on a candidate's first appraisal and kept on the candidate, keyed
+  by the identity of the ``Lexicons`` object, and reused by every later query
+  with the same lexicons; other lexicons recompute and replace them.
+- Situational checks read the profile or the query: Urgency's time fit, Goal
+  Relevance, Predictability and Normative Significance. What they need of
+  the situation (the goal tokens, the familiar items, each dietary
+  constraint's rule and violation text, the shared evidence of a satisfied
+  diet) is compiled on a context's first appraisal and kept on that
+  ``UnifiedContext``, which is immutable, so it never goes stale and is
+  never shared with another context. It also memoizes the time fit and its
+  evidence, keyed by prep minutes. The candidate-dependent part is scored on
+  every appraisal.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ URGENCY_TIME_WEIGHT = 0.7
 URGENCY_KEYWORD_WEIGHT = 0.3
 URGENCY_KEYWORD_SATURATION = 2.0
 AGENCY_SATURATION = 3.0
+# A description with no sentiment, or as much negative as positive, scores this.
+VALENCE_MIDPOINT = 0.5
 
 
 def _interned(values) -> tuple[str, ...]:
@@ -116,17 +126,20 @@ class Candidate:
         )
 
 
-@dataclass(frozen=True)
-class AppraisalVector:
-    """A candidate's per-dimension alignment scores with supporting evidence."""
+class AppraisalVector(NamedTuple):
+    """A candidate's per-dimension alignment scores with supporting evidence.
+
+    A named tuple, as is ``RankedEntry``: a query builds one of each per
+    ranked candidate, and a frozen dataclass costs about twice as much to
+    build.
+    """
 
     candidate_id: str
     scores: dict[Dimension, float]
     evidence: dict[Dimension, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
     candidate_id: str
     composite: float
     vector: AppraisalVector
@@ -157,65 +170,16 @@ def _urgency_keywords(candidate, lexicons):
     return min(1.0, len(hits) / URGENCY_KEYWORD_SATURATION), "urgency keywords matched: " + ", ".join(hits)
 
 
-def _score_urgency(candidate, context, keyword_part, keyword_evidence):
-    limit = context.time_constraint_minutes
-    prep = candidate.prep_time_minutes
-    if limit is None:
-        time_fit = 1.0
-        time_evidence = f"no time limit given; prep time {prep} min"
-    else:
-        time_fit = _clamp01(1.0 - max(0, prep - limit) / limit)
-        if prep <= limit:
-            time_evidence = f"prep time {prep} min is within the {limit} minutes available"
-        else:
-            time_evidence = f"prep time {prep} min exceeds the {limit} minutes available"
-    score = _clamp01(
-        URGENCY_TIME_WEIGHT * time_fit + URGENCY_KEYWORD_WEIGHT * keyword_part
-    )
-    if keyword_evidence is None:
-        return score, (time_evidence,)
-    return score, (time_evidence, keyword_evidence)
-
-
-def _score_goal_relevance(candidate, context):
-    goals = context.profile.unique_goals
-    if not goals:
-        return 0.0, ()
-    # A goal matches when each of its tokens is a term; most goals are one word.
-    terms = candidate.features.terms
-    matched = sorted(
-        goal for goal, first, rest in context.profile.goal_tokens
-        if first in terms and (not rest or all(token in terms for token in rest))
-    )
-    score = _clamp01(len(matched) / max(1, len(goals)))
-    if not matched:
-        return score, ()
-    return score, ("matches your goals: " + ", ".join(matched),)
-
-
 def _score_valence(candidate, lexicons):
     tally = tally_sentiment_tokens(candidate.features.description_tokens, lexicons)
     pos, neg = tally.positive_hits, tally.negative_hits
-    score = _clamp01(0.5 + 0.5 * (pos - neg) / max(1, pos + neg))
+    score = _clamp01(VALENCE_MIDPOINT + 0.5 * (pos - neg) / max(1, pos + neg))
     if tally.total == 0:
         evidence = "description sentiment: neutral (no lexicon matches)"
     else:
         words = ", ".join(tally.matched_words)
         evidence = f"description sentiment: {pos} positive, {neg} negative ({words})"
     return score, (evidence,)
-
-
-def _score_predictability(candidate, context):
-    items = candidate.features.items
-    familiar = context.profile.familiar_set
-    shared = sorted(familiar.intersection(items))
-    union = len(items) + len(familiar) - len(shared)
-    if not union:
-        return 0.0, ()
-    score = _clamp01(len(shared) / union)
-    if not shared:
-        return score, ()
-    return score, ("shares familiar items: " + ", ".join(shared),)
 
 
 def _score_agency(candidate, lexicons):
@@ -229,43 +193,6 @@ def _score_agency(candidate, lexicons):
     if hits:
         evidence.append("customization tags matched: " + ", ".join(hits))
     return _clamp01(score), tuple(evidence)
-
-
-def _constraint_satisfied(constraint: str, candidate: Candidate) -> tuple[bool, str]:
-    """Check one dietary constraint tag against a candidate.
-
-    Rules: the constraint is satisfied when it appears verbatim among the
-    candidate's tags; otherwise a "no-<word>" or "<word>-free" constraint is
-    satisfied when <word> appears nowhere in the tag/ingredient tokens; any
-    other untagged constraint is a violation.
-    """
-    features = candidate.features
-    if constraint in features.tags_lower:
-        return True, ""
-    banned = None
-    if constraint.startswith("no-"):
-        banned = constraint[3:]
-    elif constraint.endswith("-free"):
-        banned = constraint[: -len("-free")]
-    if banned:
-        if banned in features.item_tokens:
-            return False, f"contains {banned}"
-        return True, ""
-    return False, f"not tagged {constraint}"
-
-
-def _score_normative(candidate, context):
-    constraints = context.profile.unique_constraints
-    if not constraints:
-        return 1.0, ("no dietary constraints apply",)
-    violations = []
-    for constraint in constraints:
-        ok, detail = _constraint_satisfied(constraint, candidate)
-        if not ok:
-            violations.append(f"violates '{constraint}': {detail}")
-    if violations:
-        return 0.0, tuple(violations)
-    return 1.0, ("satisfies dietary constraints: " + ", ".join(constraints),)
 
 
 def _intrinsic_parts(candidate: Candidate, lexicons: Lexicons) -> tuple:
@@ -286,6 +213,100 @@ def _intrinsic_parts(candidate: Candidate, lexicons: Lexicons) -> tuple:
         )
         object.__setattr__(candidate, "_intrinsic", cached)
     return cached
+
+
+def _time_fit(limit: int | None, prep: int) -> tuple[float, tuple[str]]:
+    """Urgency's time fit for ``prep`` minutes, and its evidence."""
+    if limit is None:
+        return 1.0, (f"no time limit given; prep time {prep} min",)
+    fit = _clamp01(1.0 - max(0, prep - limit) / limit)
+    if prep <= limit:
+        return fit, (f"prep time {prep} min is within the {limit} minutes available",)
+    return fit, (f"prep time {prep} min exceeds the {limit} minutes available",)
+
+
+def _constraint_rule(constraint: str) -> tuple[str, str | None, str]:
+    """(constraint, banned word or None, violation evidence) of one dietary constraint.
+
+    The constraint is satisfied when it appears verbatim among the
+    candidate's tags; otherwise a "no-<word>" or "<word>-free" constraint is
+    satisfied when <word> appears nowhere in the tag and ingredient tokens;
+    any other untagged constraint, an empty <word> included, is a violation.
+    """
+    banned = None
+    if constraint.startswith("no-"):
+        banned = constraint[3:]
+    elif constraint.endswith("-free"):
+        banned = constraint[: -len("-free")]
+    if banned:
+        return constraint, banned, f"violates '{constraint}': contains {banned}"
+    return constraint, None, f"violates '{constraint}': not tagged {constraint}"
+
+
+_NO_FINDING = (0.0, ())
+
+
+class _Situation:
+    """One context's situational checks, compiled on its first appraisal.
+
+    Urgency's time fit, Goal Relevance, Predictability and Normative
+    Significance read the profile and the query. Whatever of them does not
+    depend on the candidate is derived here once per context, not once per
+    candidate; each method scores one candidate on one dimension.
+    """
+
+    __slots__ = ("limit", "times", "goal_tokens", "goal_count", "familiar", "rules", "satisfied")
+
+    def __init__(self, context: UnifiedContext):
+        profile = context.profile
+        constraints = profile.unique_constraints
+        self.limit = context.time_constraint_minutes
+        self.times: dict[int, tuple[float, tuple[str]]] = {}  # prep minutes -> time fit, evidence
+        # Sorted by goal, so the goals a candidate matches come out sorted.
+        self.goal_tokens = tuple(sorted(profile.goal_tokens))
+        self.goal_count = max(1, len(profile.unique_goals))
+        self.familiar = profile.familiar_set
+        self.rules = tuple(map(_constraint_rule, constraints))
+        if constraints:
+            self.satisfied = 1.0, ("satisfies dietary constraints: " + ", ".join(constraints),)
+        else:
+            self.satisfied = 1.0, ("no dietary constraints apply",)
+
+    def urgency(self, prep, keyword_part, keyword_evidence):
+        try:
+            fit, evidence = self.times[prep]
+        except KeyError:
+            fit, evidence = self.times[prep] = _time_fit(self.limit, prep)
+        score = _clamp01(URGENCY_TIME_WEIGHT * fit + URGENCY_KEYWORD_WEIGHT * keyword_part)
+        if keyword_evidence is None:
+            return score, evidence
+        return score, (*evidence, keyword_evidence)
+
+    def goal_relevance(self, terms):
+        # A goal matches when each of its tokens is a term; most goals are one word.
+        matched = [
+            goal for goal, first, rest in self.goal_tokens
+            if first in terms and (not rest or all(token in terms for token in rest))
+        ]
+        if not matched:
+            return _NO_FINDING
+        return _clamp01(len(matched) / self.goal_count), ("matches your goals: " + ", ".join(matched),)
+
+    def predictability(self, items):
+        familiar = self.familiar
+        if familiar.isdisjoint(items):
+            return _NO_FINDING
+        shared = sorted(familiar.intersection(items))
+        union = len(items) + len(familiar) - len(shared)
+        return _clamp01(len(shared) / union), ("shares familiar items: " + ", ".join(shared),)
+
+    def normative(self, features):
+        tags, tokens = features.tags_lower, features.item_tokens
+        violations = ()
+        for constraint, banned, violation in self.rules:
+            if constraint not in tags and (banned is None or banned in tokens):
+                violations += (violation,)
+        return (0.0, violations) if violations else self.satisfied
 
 
 def score_dimension(
@@ -314,10 +335,17 @@ def appraisal_vector(
     _, keyword_part, keyword_evidence, valence, valence_evidence, agency, agency_evidence = (
         _intrinsic_parts(candidate, lexicons)
     )
-    urgency, urgency_evidence = _score_urgency(candidate, context, keyword_part, keyword_evidence)
-    predictability, predictability_evidence = _score_predictability(candidate, context)
-    goal, goal_evidence = _score_goal_relevance(candidate, context)
-    normative, normative_evidence = _score_normative(candidate, context)
+    situation = context._situational
+    if situation is None:
+        situation = _Situation(context)
+        object.__setattr__(context, "_situational", situation)
+    features = candidate.features
+    urgency, urgency_evidence = situation.urgency(
+        candidate.prep_time_minutes, keyword_part, keyword_evidence
+    )
+    predictability, predictability_evidence = situation.predictability(features.items)
+    goal, goal_evidence = situation.goal_relevance(features.terms)
+    normative, normative_evidence = situation.normative(features)
     return AppraisalVector(
         candidate.id,
         {
@@ -332,21 +360,41 @@ def appraisal_vector(
     )
 
 
+def _ordered_weights(salience: SalienceProfile) -> tuple[tuple[Dimension, float], ...] | None:
+    """(dimension, weight) in ``DIMENSIONS`` order, or None when a weight is missing."""
+    weights = salience.weights
+    try:
+        return tuple([(dim, weights[dim]) for dim in DIMENSIONS])
+    except KeyError:
+        return None
+
+
+def _composite(scores, ordered_weights, salience: SalienceProfile) -> float:
+    """The composite of ``scores``: the one definition ``composite_score`` and ``rank_vectors`` share.
+
+    ``ordered_weights`` is what ``_ordered_weights(salience)`` returns, read
+    once per ranking.
+    """
+    if ordered_weights is not None:
+        total = 0.0
+        try:
+            for dim, weight in ordered_weights:
+                total += weight * scores[dim]
+        except KeyError:
+            pass
+        else:
+            return _clamp01(total)
+    missing = [dim.value for dim in DIMENSIONS if dim not in scores or dim not in salience.weights]
+    raise IncompleteVector(f"missing dimensions: {missing}")
+
+
 def composite_score(vector: AppraisalVector, salience: SalienceProfile) -> float:
     """Salience-weighted sum of the vector's scores, in fixed dimension order.
 
     Clamped to [0, 1]: weights that sum to 1 can add up to just above it in
     floating point (0.4 + 0.2 + 0.3 + 0.1 is 1.0000000000000002).
     """
-    scores, weights = vector.scores, salience.weights
-    total = 0.0
-    try:
-        for dim in DIMENSIONS:
-            total += weights[dim] * scores[dim]
-    except KeyError:
-        missing = [dim.value for dim in DIMENSIONS if dim not in scores or dim not in weights]
-        raise IncompleteVector(f"missing dimensions: {missing}") from None
-    return _clamp01(total)
+    return _composite(vector.scores, _ordered_weights(salience), salience)
 
 
 def rank_vectors(
@@ -361,17 +409,17 @@ def rank_vectors(
     composite descending with candidate id as the tie-break; the excluded
     list keeps input order.
     """
+    weights = _ordered_weights(salience)
     entries: list[RankedEntry] = []
     excluded: list[Exclusion] = []
     for vector, candidate in zip(vectors, candidates, strict=True):
-        if filter_normative and vector.scores.get(Dimension.NORMATIVE_SIGNIFICANCE) == 0.0:
-            reason = "; ".join(vector.evidence.get(Dimension.NORMATIVE_SIGNIFICANCE, ()))
+        scores = vector.scores
+        if filter_normative and scores.get(_NORMATIVE) == 0.0:
+            reason = "; ".join(vector.evidence.get(_NORMATIVE, ()))
             excluded.append(Exclusion(vector.candidate_id, reason or "normative violation"))
             continue
         entries.append(
-            RankedEntry(
-                vector.candidate_id, composite_score(vector, salience), vector, candidate
-            )
+            RankedEntry(vector.candidate_id, _composite(scores, weights, salience), vector, candidate)
         )
     entries.sort(key=lambda entry: (-entry.composite, entry.candidate_id))
     return RankedList(entries=tuple(entries), excluded=tuple(excluded))

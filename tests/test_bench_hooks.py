@@ -25,6 +25,8 @@ def test_traced_rank_times_one_vector_per_candidate(monkeypatch, alex, alex_cont
     # The traced scoring.vector_us_per_cand divides the time of the spans
     # around scoring.appraisal_vector by their count: rank_candidates must
     # call that module-level name once per candidate, inside the rank span.
+    # scoring.rank_vectors_ms times the module-level scoring.rank_vectors,
+    # which rank_candidates must call once, inside the same span.
     monkeypatch.syspath_prepend(str(BENCH))
     import run
     import spans
@@ -37,5 +39,9 @@ def test_traced_rank_times_one_vector_per_candidate(monkeypatch, alex, alex_cont
     names = [name for name, *_ in tracer.spans]
     assert names.count("scoring.rank") == 1
     assert names.count("scoring.vector") == len(candidates)
+    assert names.count("scoring.rank_vectors") == 1
     rank = names.index("scoring.rank")
-    assert all(parent == rank for name, _, _, parent, _ in tracer.spans if name == "scoring.vector")
+    assert all(
+        parent == rank for name, _, _, parent, _ in tracer.spans
+        if name in ("scoring.vector", "scoring.rank_vectors")
+    )

@@ -198,6 +198,37 @@ def test_explain_words_a_dominant_violation_against_the_choice(capsys, fixture_f
     ]
 
 
+@pytest.mark.parametrize(
+    ("description", "line"),
+    [
+        (
+            "Rice in a bowl.",
+            "Valence (weight 0.58): neither favors nor counts against this choice: "
+            "description sentiment: neutral (no lexicon matches).",
+        ),
+        (
+            "Tasty rice, but bland and mushy.",
+            "Valence (weight 0.58): counts against this choice: "
+            "description sentiment: 1 positive, 2 negative (tasty, bland, mushy).",
+        ),
+    ],
+)
+def test_explain_never_favors_a_valence_at_or_below_its_midpoint(capsys, fixture_files, tmp_path, description, line):
+    # The query makes Valence dominant; a neutral description scores the
+    # midpoint 0.5 and a mostly negative one less, so neither is a reason.
+    profile, _, _ = fixture_files("alex")
+    catalog = tmp_path / "rice.json"
+    catalog.write_text(json.dumps(
+        [{"id": "a", "name": "Plain Rice", "description": description, "prep_time_minutes": 10}]
+    ))
+    code, out, _ = _run(capsys, [
+        "explain", "--profile", profile, "--query", "I want something delicious, tasty and enjoyable",
+        "--candidates", str(catalog), "--no-normative-filter",
+    ])
+    assert code == 0
+    assert out.splitlines()[1] == line
+
+
 def test_explain_compare_structure(capsys, fixture_files):
     profile, query, candidates = fixture_files("sarah")
     code, out, _ = _run(

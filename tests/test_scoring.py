@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import os
 import random
 import subprocess
@@ -18,12 +19,14 @@ from appraisal_explainer import (
     SalienceProfile,
     UserProfile,
     appraisal_vector,
+    build_plan,
     build_unified_context,
     composite_score,
     compute_salience,
     load_lexicons,
     rank_candidates,
     rank_vectors,
+    realize_template,
     score_dimension,
     tokenize,
 )
@@ -36,6 +39,7 @@ from appraisal_explainer.errors import (
 )
 from appraisal_explainer.pipeline import load_engine_data, run_pipeline
 from appraisal_explainer.runlog import RunLog
+from appraisal_explainer.serialize import write_ranking_json
 
 DIMS = list(Dimension)
 
@@ -630,3 +634,228 @@ def test_features_retain_little_memory():
     finally:
         tracemalloc.stop()
     assert retained / len(candidates) <= 1536
+
+
+# The four situational scorers as they read before the checks were compiled
+# once per context, kept verbatim as the oracle for the compiled checks.
+def _reference_urgency(candidate, context, lexicons):
+    keyword_part, keyword_evidence = scoring._urgency_keywords(candidate, lexicons)
+    limit = context.time_constraint_minutes
+    prep = candidate.prep_time_minutes
+    if limit is None:
+        time_fit = 1.0
+        time_evidence = f"no time limit given; prep time {prep} min"
+    else:
+        time_fit = scoring._clamp01(1.0 - max(0, prep - limit) / limit)
+        if prep <= limit:
+            time_evidence = f"prep time {prep} min is within the {limit} minutes available"
+        else:
+            time_evidence = f"prep time {prep} min exceeds the {limit} minutes available"
+    score = scoring._clamp01(0.7 * time_fit + 0.3 * keyword_part)
+    if keyword_evidence is None:
+        return score, (time_evidence,)
+    return score, (time_evidence, keyword_evidence)
+
+
+def _reference_goal_relevance(candidate, context, lexicons):
+    goals = context.profile.unique_goals
+    if not goals:
+        return 0.0, ()
+    terms = candidate.features.terms
+    matched = sorted(
+        goal for goal, first, rest in context.profile.goal_tokens
+        if first in terms and (not rest or all(token in terms for token in rest))
+    )
+    score = scoring._clamp01(len(matched) / max(1, len(goals)))
+    if not matched:
+        return score, ()
+    return score, ("matches your goals: " + ", ".join(matched),)
+
+
+def _reference_predictability(candidate, context, lexicons):
+    items = candidate.features.items
+    familiar = context.profile.familiar_set
+    shared = sorted(familiar.intersection(items))
+    union = len(items) + len(familiar) - len(shared)
+    if not union:
+        return 0.0, ()
+    score = scoring._clamp01(len(shared) / union)
+    if not shared:
+        return score, ()
+    return score, ("shares familiar items: " + ", ".join(shared),)
+
+
+def _reference_constraint_satisfied(constraint, candidate):
+    features = candidate.features
+    if constraint in features.tags_lower:
+        return True, ""
+    banned = None
+    if constraint.startswith("no-"):
+        banned = constraint[3:]
+    elif constraint.endswith("-free"):
+        banned = constraint[: -len("-free")]
+    if banned:
+        if banned in features.item_tokens:
+            return False, f"contains {banned}"
+        return True, ""
+    return False, f"not tagged {constraint}"
+
+
+def _reference_normative(candidate, context, lexicons):
+    constraints = context.profile.unique_constraints
+    if not constraints:
+        return 1.0, ("no dietary constraints apply",)
+    violations = []
+    for constraint in constraints:
+        ok, detail = _reference_constraint_satisfied(constraint, candidate)
+        if not ok:
+            violations.append(f"violates '{constraint}': {detail}")
+    if violations:
+        return 0.0, tuple(violations)
+    return 1.0, ("satisfies dietary constraints: " + ", ".join(constraints),)
+
+
+REFERENCE_SCORERS = {
+    Dimension.URGENCY: _reference_urgency,
+    Dimension.GOAL_RELEVANCE: _reference_goal_relevance,
+    Dimension.PREDICTABILITY_SURPRISE: _reference_predictability,
+    Dimension.NORMATIVE_SIGNIFICANCE: _reference_normative,
+}
+
+# Tags and constraints that exercise each rule: a verbatim tag, "no-" and
+# "-free" with and without a banned word, and a banned word inside a token.
+RULE_WORDS = ["vegetarian", "gluten-free", "no-nuts", "no-", "-free", "no--free", "nuts", "gluten"]
+SITUATIONAL_WORD = st.sampled_from(WORD_POOL + RULE_WORDS)
+
+
+@st.composite
+def situational_candidates(draw):
+    count = draw(st.integers(min_value=1, max_value=5))
+    return [
+        Candidate(
+            id=f"cand-{index}",
+            name=draw(SITUATIONAL_WORD),
+            description=" ".join(draw(st.lists(SITUATIONAL_WORD, max_size=5))),
+            prep_time_minutes=draw(st.integers(min_value=1, max_value=240)),
+            ingredients=tuple(draw(st.lists(SITUATIONAL_WORD, max_size=4))),
+            tags=tuple(draw(st.lists(SITUATIONAL_WORD, max_size=3))),
+        )
+        for index in range(count)
+    ]
+
+
+@st.composite
+def situational_profiles(draw):
+    word = st.sampled_from(WORD_POOL)
+    constraint = st.one_of(
+        SITUATIONAL_WORD, word.map("no-{}".format), word.map("{}-free".format),
+    )
+    goal = st.one_of(
+        word,
+        st.lists(word, min_size=2, max_size=3).map(" ".join),  # multi-word
+        st.sampled_from(["!!", "-", "quick-fresh", "QUICK "]),  # tokenless, hyphenated, unnormalized
+    )
+    return UserProfile(
+        user_id="u",
+        goals=tuple(draw(st.lists(goal, max_size=4))),
+        dietary_constraints=tuple(draw(st.lists(constraint, max_size=4))),
+        familiar_items=tuple(draw(st.lists(st.one_of(word, SITUATIONAL_WORD), max_size=3))),
+    )
+
+
+# No time limit, and limits that the drawn prep times fall under and over.
+TIMED_QUERIES = st.sampled_from(["feed me", "dinner in 20 minutes", "in 1 min", "an hour", "ready in 3 hours"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidates=situational_candidates(), profile=situational_profiles(), query=TIMED_QUERIES)
+@example(
+    candidates=[
+        Candidate(id="a", name="Stew", prep_time_minutes=20, tags=("no-", "vegetarian"), ingredients=("nuts",)),
+        Candidate(id="b", name="Quick fresh salad", prep_time_minutes=21, ingredients=("gluten", "beans")),
+    ],
+    profile=UserProfile(
+        user_id="u", goals=("quick fresh", "!!", "stew", "stew"),
+        dietary_constraints=("no-", "-free", "vegetarian", "no-nuts", "gluten-free", "no-nuts"),
+    ),
+    query="dinner in 20 minutes",
+)
+def test_compiled_situational_checks_score_like_the_per_candidate_scorers(
+    candidates, profile, query, registry, lexicons
+):
+    context = _context(registry, lexicons, profile, query)
+    for candidate in candidates:
+        for dim, reference in REFERENCE_SCORERS.items():
+            assert score_dimension(candidate, dim, context, lexicons) == reference(candidate, context, lexicons)
+
+
+def test_alternating_contexts_keep_their_own_compiled_checks(registry, lexicons):
+    # Each context differs from the other on all four situational checks.
+    first = _context(registry, lexicons, UserProfile(
+        user_id="u", goals=("quick",), dietary_constraints=("no-beans",), familiar_items=("beans",),
+    ), "dinner in 10 minutes")
+    second = _context(registry, lexicons, UserProfile(
+        user_id="v", goals=("fresh", "herbs"), dietary_constraints=("vegan",), familiar_items=("herbs",),
+    ), "feed me")
+    candidates = [
+        Candidate(id="a", name="Quick beans", prep_time_minutes=15, ingredients=("beans",), tags=("vegan",)),
+        Candidate(id="b", name="Fresh herbs", prep_time_minutes=30, ingredients=("herbs",)),
+    ]
+    seen = {}
+    for context in (first, second, first, second):
+        for candidate in candidates:
+            vector = appraisal_vector(candidate, context, lexicons)
+            fresh = _context(registry, lexicons, context.profile, context.query.text)
+            assert vector == appraisal_vector(candidate, fresh, lexicons)
+            seen.setdefault(candidate.id, []).append(vector)
+    for first_vector, second_vector, *_ in seen.values():
+        assert all(first_vector.scores[dim] != second_vector.scores[dim] for dim in REFERENCE_SCORERS)
+
+
+@pytest.mark.parametrize(
+    ("no_score", "no_weight", "message"),
+    [
+        (Dimension.NORMATIVE_SIGNIFICANCE, None, "['NormativeSignificance']"),
+        (None, Dimension.URGENCY, "['Urgency']"),
+        (Dimension.GOAL_RELEVANCE, Dimension.AGENCY, "['GoalRelevance', 'Agency']"),
+    ],
+)
+def test_rank_vectors_rejects_an_incomplete_vector_like_composite_score(no_score, no_weight, message):
+    salience = _salience([1 / 6] * 6)
+    salience.weights.pop(no_weight, None)
+    vector = AppraisalVector("c", {dim: 0.5 for dim in DIMS if dim is not no_score}, {})
+    with pytest.raises(IncompleteVector) as composite:
+        composite_score(vector, salience)
+    with pytest.raises(IncompleteVector) as ranked:
+        rank_vectors([vector], _candidates([vector]), salience, filter_normative=False)
+    assert str(ranked.value) == str(composite.value) == f"missing dimensions: {message}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    candidates=random_candidates(), filter_normative=st.booleans(),
+    situations=st.lists(st.tuples(random_profiles(), QUERIES), min_size=2, max_size=3),
+)
+def test_realization_is_deterministic(candidates, situations, filter_normative, registry, lexicons):
+    # Warm: candidates and the last context already appraised, by other
+    # profiles and queries and by a first ranking; fresh: new records and a
+    # new context.
+    def explained(catalog, context):
+        ranked = rank_candidates(
+            catalog, context, compute_salience(context, registry), lexicons=lexicons,
+            filter_normative=filter_normative,
+        )
+        out = io.StringIO()
+        write_ranking_json(ranked, out)
+        if not ranked.entries:
+            return out.getvalue(), None
+        plan = build_plan(ranked, compute_salience(context, registry), context, registry)
+        return out.getvalue(), realize_template(plan).encode("utf-8")
+
+    contexts = [_context(registry, lexicons, profile, query) for profile, query in situations]
+    for context in contexts:
+        explained(candidates, context)
+    warm = explained(candidates, contexts[-1])
+    fresh_candidates = [Candidate.from_dict(dataclasses.asdict(candidate)) for candidate in candidates]
+    fresh = explained(fresh_candidates, _context(registry, lexicons, *situations[-1]))
+    assert warm == fresh
