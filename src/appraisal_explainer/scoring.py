@@ -264,7 +264,7 @@ class _Situation:
         self.times: dict[int, tuple[float, tuple[str]]] = {}  # prep minutes -> time fit, evidence
         # Sorted by goal, so the goals a candidate matches come out sorted.
         self.goal_tokens = tuple(sorted(profile.goal_tokens))
-        self.goal_count = max(1, len(profile.unique_goals))
+        self.goal_count = len(profile.unique_goals)
         self.familiar = profile.familiar_set
         self.rules = tuple(map(_constraint_rule, constraints))
         if constraints:

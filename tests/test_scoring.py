@@ -636,8 +636,8 @@ def test_features_retain_little_memory():
     assert retained / len(candidates) <= 1536
 
 
-# The four situational scorers as they read before the checks were compiled
-# once per context, kept verbatim as the oracle for the compiled checks.
+# The four situational scorers derived afresh for each candidate, nothing
+# kept per context: the results the compiled checks must reproduce.
 def _reference_urgency(candidate, context, lexicons):
     keyword_part, keyword_evidence = scoring._urgency_keywords(candidate, lexicons)
     limit = context.time_constraint_minutes
@@ -651,7 +651,9 @@ def _reference_urgency(candidate, context, lexicons):
             time_evidence = f"prep time {prep} min is within the {limit} minutes available"
         else:
             time_evidence = f"prep time {prep} min exceeds the {limit} minutes available"
-    score = scoring._clamp01(0.7 * time_fit + 0.3 * keyword_part)
+    score = scoring._clamp01(
+        scoring.URGENCY_TIME_WEIGHT * time_fit + scoring.URGENCY_KEYWORD_WEIGHT * keyword_part
+    )
     if keyword_evidence is None:
         return score, (time_evidence,)
     return score, (time_evidence, keyword_evidence)
@@ -723,7 +725,8 @@ REFERENCE_SCORERS = {
 }
 
 # Tags and constraints that exercise each rule: a verbatim tag, "no-" and
-# "-free" with and without a banned word, and a banned word inside a token.
+# "-free" with and without a banned word, and a banned word that is one
+# token of a hyphenated item ("gluten-free" holds "gluten").
 RULE_WORDS = ["vegetarian", "gluten-free", "no-nuts", "no-", "-free", "no--free", "nuts", "gluten"]
 SITUATIONAL_WORD = st.sampled_from(WORD_POOL + RULE_WORDS)
 
@@ -841,16 +844,15 @@ def test_realization_is_deterministic(candidates, situations, filter_normative, 
     # profiles and queries and by a first ranking; fresh: new records and a
     # new context.
     def explained(catalog, context):
+        salience = compute_salience(context, registry)
         ranked = rank_candidates(
-            catalog, context, compute_salience(context, registry), lexicons=lexicons,
-            filter_normative=filter_normative,
+            catalog, context, salience, lexicons=lexicons, filter_normative=filter_normative
         )
         out = io.StringIO()
         write_ranking_json(ranked, out)
         if not ranked.entries:
             return out.getvalue(), None
-        plan = build_plan(ranked, compute_salience(context, registry), context, registry)
-        return out.getvalue(), realize_template(plan).encode("utf-8")
+        return out.getvalue(), realize_template(build_plan(ranked, salience, context, registry)).encode("utf-8")
 
     contexts = [_context(registry, lexicons, profile, query) for profile, query in situations]
     for context in contexts:
