@@ -11,11 +11,23 @@ stdout and in ``ranking.json``, is written straight from the ``RankedList``
 by ``serialize.write_ranking_json``; text output renders its dict view,
 ``ranking_to_dict``. Every other JSON document goes through ``_dump_json``.
 Both write block by block, so no document is held as one string.
+
+``main`` runs a command with the cyclic garbage collector's automatic
+collections off, and restores the collector's prior state on every exit, so
+a caller that had turned it off keeps it off. The data a command builds (the
+catalog, the candidates' features, the vectors and the entries) holds no
+reference cycles and lives until the command ends, so a collection only
+walks it: in one in-process ``rank`` of 20,000 generated candidates, the
+collector ran 630 collections (4 of the oldest generation) that freed 79
+objects and took about 0.29 s of a 2.0 s command (2-CPU shared VM, Python
+3.11.7). A process that owns its own collector policy can call
+``run_pipeline`` and the other stages directly; none of them touches ``gc``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -306,6 +318,8 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         cfg = _resolve_config(args)
         code = COMMANDS[args.command](args, cfg)
@@ -324,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

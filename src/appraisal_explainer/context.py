@@ -37,6 +37,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def minutes_text(minutes: int) -> str:
+    """An amount of minutes in words: "1 minute", "30 minutes"."""
+    return f"{minutes} minute" if minutes == 1 else f"{minutes} minutes"
+
+
 def parse_time_constraint(text: str) -> int | None:
     """First parseable duration in ``text`` as minutes, or None.
 

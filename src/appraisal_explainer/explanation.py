@@ -15,7 +15,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .context import UnifiedContext
+from .context import UnifiedContext, minutes_text
 from .errors import (
     ConfigError,
     EmptyCompletion,
@@ -28,7 +28,7 @@ from .remote import ChatEndpoint, request_chat_completion
 from .runlog import RunLog
 from .salience import SalienceProfile
 from .schemas import PROMPTS_SCHEMA, load_document
-from .scoring import VALENCE_MIDPOINT, Candidate, RankedList
+from .scoring import VALENCE_MIDPOINT, Candidate, RankedList, time_fit
 
 MODE_APPRAISAL = "appraisal"
 MODE_BASELINE = "baseline"
@@ -75,7 +75,7 @@ def summarize_context(context: UnifiedContext) -> str:
     if context.profile.goals:
         parts.append("goals: " + ", ".join(context.profile.goals))
     if context.time_constraint_minutes is not None:
-        parts.append(f"time limit: {context.time_constraint_minutes} minutes")
+        parts.append("time limit: " + minutes_text(context.time_constraint_minutes))
     query_words: list[str] = []
     for dim in Dimension:
         hits = context.keyword_hits.get(dim)
@@ -126,6 +126,12 @@ def build_plan(
     )
 
 
+def _overruns_time_limit(plan: ExplanationPlan) -> bool:
+    """Whether the winner's time fit is below 1: its prep time exceeds the query's limit."""
+    fit, _ = time_fit(plan.context.time_constraint_minutes, plan.candidate.prep_time_minutes)
+    return fit < 1.0
+
+
 def realize_template(plan: ExplanationPlan) -> str:
     """Deterministic text realization; identical plans yield identical bytes.
 
@@ -134,9 +140,11 @@ def realize_template(plan: ExplanationPlan) -> str:
     dimension carries no evidence; "counts against this choice" when it
     scores 0, as a violated constraint does, or when Valence scores below its
     midpoint; "neither favors nor counts against this choice" for a Valence
-    at its midpoint, a neutral description), and, when the profile has
-    dietary constraints, a closing sentence from the winner's
-    NormativeSignificance finding: "satisfied" only when it scores 1.0, else
+    at its midpoint, a neutral description; for an Urgency whose time fit is
+    below 1, the overrun counts against the choice and only a keyword match
+    is "favored because"), and, when the profile has dietary constraints, a
+    closing sentence from the winner's NormativeSignificance finding:
+    "satisfied", naming each constraint once, only when it scores 1.0, else
     its violations.
     """
     lines = [
@@ -152,9 +160,14 @@ def realize_template(plan: ExplanationPlan) -> str:
             lines.append(head + f"counts against this choice: {evidence}.")
         elif valence and finding.score == VALENCE_MIDPOINT:
             lines.append(head + f"neither favors nor counts against this choice: {evidence}.")
+        elif finding.dimension is Dimension.URGENCY and _overruns_time_limit(plan):
+            # Urgency's time evidence comes first; what follows is the keyword match.
+            overrun, *keywords = finding.evidence
+            reasons = f"favored because {'; '.join(keywords)}; " if keywords else ""
+            lines.append(head + f"{reasons}counts against this choice: {overrun}.")
         else:
             lines.append(head + f"favored because {evidence}.")
-    constraints = plan.context.profile.dietary_constraints
+    constraints = plan.context.profile.unique_constraints
     normative = next(f for f in plan.per_dimension if f.dimension is Dimension.NORMATIVE_SIGNIFICANCE)
     if constraints and normative.score == 1.0:
         lines.append("Dietary constraints satisfied: " + ", ".join(constraints) + ".")
@@ -174,7 +187,7 @@ def realize_baseline_template(context: UnifiedContext, candidates: list[Candidat
     first = candidates[0]
     return (
         f'Based on your request "{context.query.text}", try {first.name}: '
-        f"{first.description} It is ready in about {first.prep_time_minutes} minutes."
+        f"{first.description} It is ready in about {minutes_text(first.prep_time_minutes)}."
     )
 
 
@@ -253,7 +266,7 @@ def _render_profile(profile) -> str:
 def _render_situation(context: UnifiedContext) -> str:
     lines = [f'Request: "{context.query.text}"']
     if context.time_constraint_minutes is not None:
-        lines.append(f"Detected time limit: {context.time_constraint_minutes} minutes")
+        lines.append("Detected time limit: " + minutes_text(context.time_constraint_minutes))
     if context.sentiment.total > 0:
         lines.append(
             "Request sentiment cues: "
@@ -283,7 +296,7 @@ def _render_candidates(candidates) -> str:
                 [
                     f"Name: {candidate.name}",
                     f"Description: {candidate.description}",
-                    f"Prep time: {candidate.prep_time_minutes} minutes",
+                    "Prep time: " + minutes_text(candidate.prep_time_minutes),
                     f"Ingredients: {', '.join(candidate.ingredients) or '(none)'}",
                     f"Tags: {', '.join(candidate.tags) or '(none)'}",
                     f"Customization options: {candidate.customization_options}",

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import random
@@ -227,6 +228,44 @@ def test_explain_never_favors_a_valence_at_or_below_its_midpoint(capsys, fixture
     ])
     assert code == 0
     assert out.splitlines()[1] == line
+
+
+def _quick_bowl(tmp_path):
+    """Explain one 10-minute vegetarian bowl to a vegetarian (listed twice) in a hurry."""
+    profile = tmp_path / "quick.json"
+    profile.write_text(json.dumps(
+        {"user_id": "d", "goals": ["quick"], "dietary_constraints": ["vegetarian", "Vegetarian"]}
+    ))
+    catalog = tmp_path / "bowl.json"
+    catalog.write_text(json.dumps([{
+        "id": "a", "name": "Quick Veg Bowl", "description": "A quick bowl.",
+        "prep_time_minutes": 10, "tags": ["vegetarian"],
+    }]))
+    return [
+        "explain", "--profile", str(profile), "--candidates", str(catalog),
+        "--query", "dinner in 1 minute, quick please",
+    ]
+
+
+def test_explain_words_an_urgency_overrun_against_the_choice(capsys, tmp_path):
+    # The bowl takes 10 minutes of the 1 available: its time fit is 0, so
+    # only the keyword match is a reason, and the overrun counts against it.
+    code, out, _ = _run(capsys, _quick_bowl(tmp_path))
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "Urgency (weight 0.71): favored because urgency keywords matched: quick; "
+        "counts against this choice: prep time 10 min exceeds the 1 minute available."
+    )
+
+
+def test_explain_names_a_repeated_dietary_constraint_once(capsys, tmp_path):
+    code, out, _ = _run(capsys, _quick_bowl(tmp_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[3] == (
+        "Normative Significance (weight 0.14): favored because satisfies dietary constraints: vegetarian."
+    )
+    assert lines[-1] == "Dietary constraints satisfied: vegetarian."
 
 
 def test_explain_compare_structure(capsys, fixture_files):
@@ -629,3 +668,43 @@ def test_closed_stdout_exits_quietly(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("succeeds", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, fixture_files, enabled, succeeds):
+    profile, query, _ = fixture_files("sarah")
+    # Without --query the command is an input error, exit 2.
+    argv = ["salience", "--profile", profile, *(["--query", query] if succeeds else [])]
+    collecting = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = _run(capsys, argv)
+        assert (code, gc.isenabled()) == (0 if succeeds else 2, enabled)
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
+def test_rank_runs_no_cyclic_collection(capsys, tmp_path):
+    # The catalog, features, vectors and entries hold no cycles: a collection
+    # during the command would only walk them.
+    profile, candidates = _large_inputs(tmp_path, size=3000)
+    argv = [
+        "rank", "--format", "json", "--profile", str(profile), "--query", _QUERY,
+        "--candidates", str(candidates),
+    ]
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        code = main(argv)
+        during = len(collections)
+    finally:
+        gc.callbacks.remove(count)
+    assert (code, during) == (0, 0)
+    assert json.loads(capsys.readouterr().out)["entries"]

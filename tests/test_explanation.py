@@ -17,9 +17,10 @@ from appraisal_explainer import (
     rank_candidates,
     realize_baseline_template,
     realize_template,
+    score_dimension,
 )
 from appraisal_explainer.errors import InvalidPromptRequest, NothingToExplain
-from appraisal_explainer.explanation import MODE_APPRAISAL, MODE_BASELINE, weight_label
+from appraisal_explainer.explanation import MODE_APPRAISAL, MODE_BASELINE, summarize_context, weight_label
 from appraisal_explainer.scoring import RankedList
 
 
@@ -204,3 +205,17 @@ def test_baseline_template_uses_first_candidate(sarah_context):
     text = realize_baseline_template(sarah_context, candidates)
     assert "Second dish" in text
     assert "9 minutes" in text
+
+
+@pytest.mark.parametrize(("minutes", "amount"), [(1, "1 minute"), (2, "2 minutes"), (45, "45 minutes")])
+def test_an_amount_of_minutes_agrees_with_its_number(minutes, amount, registry, lexicons):
+    context = build_unified_context(
+        UserProfile(user_id="u"), Query(f"dinner in {minutes} minutes"), registry, lexicons
+    )
+    dish = Candidate(id="a", name="Rice", description="Rice.", prep_time_minutes=minutes)
+    _, evidence = score_dimension(dish, Dimension.URGENCY, context, lexicons)
+    assert evidence == (f"prep time {minutes} min is within the {amount} available",)
+    assert summarize_context(context) == f"time limit: {amount}"
+    assert realize_baseline_template(context, [dish]).endswith(f"It is ready in about {amount}.")
+    prompt = build_prompt(MODE_BASELINE, context=context, candidates=[dish]).user_message()
+    assert f"Detected time limit: {amount}\n" in prompt and f"Prep time: {amount}\n" in prompt

@@ -636,6 +636,32 @@ def test_features_retain_little_memory():
     assert retained / len(candidates) <= 1536
 
 
+def test_item_memos_stay_within_their_bound():
+    # Distinct tags, tag lists and ingredients, more of each than the bound.
+    overflow = scoring.ITEM_MEMO_SIZE + 10
+    for index in range(overflow):
+        Candidate(
+            id=f"c{index}", name="Dish", tags=(f"tag {index}",), ingredients=(f"ingredient {index}",)
+        ).features
+    assert scoring._item_parts.cache_info().currsize <= scoring.ITEM_MEMO_SIZE
+    assert scoring._tag_parts.cache_info().currsize <= scoring.ITEM_MEMO_SIZE
+
+
+def test_candidates_with_equal_tags_share_their_tag_tuples():
+    # Equal tags built as distinct string objects, on candidates that differ otherwise.
+    first, second = (
+        Candidate(
+            id=f"c{index}", name=f"Dish {index}", ingredients=(f"bean {index}",),
+            tags=tuple("".join(parts) for parts in (("Gluten", "-free"), (" Quick", " meal"))),
+        )
+        for index in range(2)
+    )
+    assert first.tags == second.tags and first.tags[0] is not second.tags[0]
+    assert first.features.tag_tokens is second.features.tag_tokens
+    assert first.features.tags_lower is second.features.tags_lower
+    assert first.features.item_tokens != second.features.item_tokens
+
+
 # The four situational scorers derived afresh for each candidate, nothing
 # kept per context: the results the compiled checks must reproduce.
 def _reference_urgency(candidate, context, lexicons):
@@ -647,10 +673,11 @@ def _reference_urgency(candidate, context, lexicons):
         time_evidence = f"no time limit given; prep time {prep} min"
     else:
         time_fit = scoring._clamp01(1.0 - max(0, prep - limit) / limit)
+        available = "1 minute" if limit == 1 else f"{limit} minutes"
         if prep <= limit:
-            time_evidence = f"prep time {prep} min is within the {limit} minutes available"
+            time_evidence = f"prep time {prep} min is within the {available} available"
         else:
-            time_evidence = f"prep time {prep} min exceeds the {limit} minutes available"
+            time_evidence = f"prep time {prep} min exceeds the {available} available"
     score = scoring._clamp01(
         scoring.URGENCY_TIME_WEIGHT * time_fit + scoring.URGENCY_KEYWORD_WEIGHT * keyword_part
     )
