@@ -5,6 +5,13 @@ how salient each of six appraisal dimensions is for that context, rank
 candidate items by salience-weighted per-dimension alignment, and realize an
 explanation that justifies the winner in appraisal terms, with a
 non-appraisal baseline available for contrast.
+
+No record is a ``@dataclass``, and nothing on the import path loads the
+dataclass module, which brings ``inspect`` and ``ast`` with it. Each record is
+a ``typing.NamedTuple``, or a plain class with an explicit ``__init__`` when it
+validates, normalizes or caches. With 26 ``@dataclass`` records, importing
+the CLI took a median 64 ms; without them, 26 ms (15 alternating fresh
+imports, 2-CPU shared VM, Python 3.11.7).
 """
 
 __version__ = "0.1.0"

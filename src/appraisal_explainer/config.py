@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .context import UserProfile
 from .errors import ConfigError
@@ -28,8 +28,7 @@ PATH_KEYS = ("registry", "lexicons", "profile", "candidates", "prompts")
 SETTING_KEYS = ("scorer", "realizer", "top_k", "fallback", "filter_normative", "format")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one command invocation needs, resolved and validated."""
 
     registry_path: str | None = None

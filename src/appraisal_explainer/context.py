@@ -7,8 +7,8 @@ no stemming) so every downstream count can be recomputed by hand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import EmptyQuery
 from .lexicons import Lexicons
@@ -66,8 +66,37 @@ def parse_time_constraint(text: str) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class SentimentTally:
+class Immutable:
+    """A record whose ``__init__`` sets its fields once: assigning or deleting one raises.
+
+    A subclass's ``__init__`` stores the fields straight into the instance
+    dict, and its ``_key`` returns them in constructor order for ``==``,
+    ``hash`` and ``repr``. A per-instance cache is valid because the fields
+    never change; it is stored with ``object.__setattr__`` or a
+    ``cached_property``, which bypass ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return type(self).__name__ + repr(self._key())
+
+
+class SentimentTally(NamedTuple):
     """Whole-word sentiment matches; one entry per occurrence."""
 
     matched_positive: tuple[str, ...] = ()
@@ -107,21 +136,36 @@ def tally_sentiment_tokens(tokens, lexicons: Lexicons) -> SentimentTally:
     return SentimentTally(tuple(positive), tuple(negative))
 
 
-@dataclass(frozen=True)
-class UserProfile:
+def _keywords(values) -> tuple[str, ...]:
+    """The stripped, lower-cased ``values`` that are not blank, in order."""
+    return tuple(value.strip().lower() for value in values if value.strip())
+
+
+class UserProfile(Immutable):
     """Long-term user profile; keyword fields are lowercase-normalized."""
 
-    user_id: str
-    description: str = ""
-    goals: tuple[str, ...] = ()
-    preference_keywords: tuple[str, ...] = ()
-    dietary_constraints: tuple[str, ...] = ()
-    familiar_items: tuple[str, ...] = ()
+    def __init__(
+        self,
+        user_id: str,
+        description: str = "",
+        goals: tuple[str, ...] = (),
+        preference_keywords: tuple[str, ...] = (),
+        dietary_constraints: tuple[str, ...] = (),
+        familiar_items: tuple[str, ...] = (),
+    ):
+        fields = self.__dict__
+        fields["user_id"] = user_id
+        fields["description"] = description
+        fields["goals"] = _keywords(goals)
+        fields["preference_keywords"] = _keywords(preference_keywords)
+        fields["dietary_constraints"] = _keywords(dietary_constraints)
+        fields["familiar_items"] = _keywords(familiar_items)
 
-    def __post_init__(self):
-        for name in ("goals", "preference_keywords", "dietary_constraints", "familiar_items"):
-            values = tuple(v.strip().lower() for v in getattr(self, name) if v.strip())
-            object.__setattr__(self, name, values)
+    def _key(self) -> tuple:
+        return (
+            self.user_id, self.description, self.goals, self.preference_keywords,
+            self.dietary_constraints, self.familiar_items,
+        )
 
     @classmethod
     def from_dict(cls, record: dict) -> "UserProfile":
@@ -155,41 +199,55 @@ class UserProfile:
         return frozenset(self.familiar_items)
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Immutable):
     """A single natural-language request."""
 
-    text: str
-    timestamp: str | None = None
-
-    def __post_init__(self):
-        if not self.text or not self.text.strip():
+    def __init__(self, text: str, timestamp: str | None = None):
+        if not text or not text.strip():
             raise EmptyQuery("query text is empty")
+        fields = self.__dict__
+        fields["text"] = text
+        fields["timestamp"] = timestamp
+
+    def _key(self) -> tuple:
+        return self.text, self.timestamp
 
 
-@dataclass(frozen=True)
-class SourceHits:
+class SourceHits(NamedTuple):
     """Keyword matches for one dimension, deduplicated per source."""
 
     query: tuple[str, ...] = ()
     profile: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class UnifiedContext:
+class UnifiedContext(Immutable):
     """Everything the salience and scoring stages need about the situation."""
 
-    profile: UserProfile
-    query: Query
-    composite_text: str
-    time_constraint_minutes: int | None
-    sentiment: SentimentTally
-    keyword_hits: dict[Dimension, SourceHits] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        profile: UserProfile,
+        query: Query,
+        composite_text: str,
+        time_constraint_minutes: int | None,
+        sentiment: SentimentTally,
+        keyword_hits: dict[Dimension, SourceHits] | None = None,
+    ):
+        fields = self.__dict__
+        fields["profile"] = profile
+        fields["query"] = query
+        fields["composite_text"] = composite_text
+        fields["time_constraint_minutes"] = time_constraint_minutes
+        fields["sentiment"] = sentiment
+        fields["keyword_hits"] = {} if keyword_hits is None else keyword_hits
         # Where scoring keeps this context's compiled situational checks, built
         # on its first appraisal; the context is immutable, so they never go stale.
-        object.__setattr__(self, "_situational", None)
+        fields["_situational"] = None
+
+    def _key(self) -> tuple:
+        return (
+            self.profile, self.query, self.composite_text, self.time_constraint_minutes,
+            self.sentiment, self.keyword_hits,
+        )
 
 
 def _ordered_matches(tokens: list[str], words: frozenset[str]) -> tuple[str, ...]:

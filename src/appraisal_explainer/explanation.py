@@ -9,11 +9,11 @@ request and records the exchange in the run log.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .context import UnifiedContext, minutes_text
 from .errors import (
@@ -46,8 +46,7 @@ def weight_label(weight: float) -> str:
     return "low"
 
 
-@dataclass(frozen=True)
-class DimensionFinding:
+class DimensionFinding(NamedTuple):
     """One dimension's weight, candidate score, and evidence, ready to render."""
 
     dimension: Dimension
@@ -57,8 +56,7 @@ class DimensionFinding:
     evidence: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ExplanationPlan:
+class ExplanationPlan(NamedTuple):
     """Structured justification for the top-ranked candidate."""
 
     candidate: Candidate
@@ -73,7 +71,7 @@ def summarize_context(context: UnifiedContext) -> str:
     """Short deterministic digest: goals, time constraint, query keywords."""
     parts = []
     if context.profile.goals:
-        parts.append("goals: " + ", ".join(context.profile.goals))
+        parts.append("goals: " + ", ".join(context.profile.unique_goals))
     if context.time_constraint_minutes is not None:
         parts.append("time limit: " + minutes_text(context.time_constraint_minutes))
     query_words: list[str] = []
@@ -191,8 +189,7 @@ def realize_baseline_template(context: UnifiedContext, candidates: list[Candidat
     )
 
 
-@dataclass(frozen=True)
-class PromptTemplates:
+class PromptTemplates(NamedTuple):
     system_instruction: str
     section_labels: dict[str, str]
     appraisal_instruction: str
@@ -228,8 +225,7 @@ def load_prompt_templates(source: str | Path | dict | None = None) -> PromptTemp
     return PromptTemplates(**doc)
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     """Ordered, labeled prompt sections plus the system instruction."""
 
     system_instruction: str
@@ -381,8 +377,7 @@ def realize_llm(
     return text
 
 
-@dataclass(frozen=True)
-class MentionReport:
+class MentionReport(NamedTuple):
     """Which dominant display names and evidence strings a text contains."""
 
     dimensions: tuple[str, ...]
@@ -390,8 +385,7 @@ class MentionReport:
     length: int
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     appraisal: MentionReport
     baseline: MentionReport
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .context import Query, UserProfile
 from .errors import ConfigError
@@ -14,8 +14,7 @@ from .scoring import Candidate
 FIXTURE_NAMES = ("alex", "sarah")
 
 
-@dataclass(frozen=True)
-class ScenarioFixture:
+class ScenarioFixture(NamedTuple):
     name: str
     profile: UserProfile
     query: Query

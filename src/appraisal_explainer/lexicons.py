@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .registry import Dimension
 from .schemas import LEXICONS_SCHEMA, load_document
 
 
-@dataclass(frozen=True)
-class Lexicons:
+class Lexicons(NamedTuple):
     """Per-dimension keyword lists plus a positive/negative sentiment lexicon."""
 
     dimension_words: dict[Dimension, frozenset[str]]

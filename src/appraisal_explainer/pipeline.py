@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import RunConfig
 from .context import Query, UnifiedContext, UserProfile, build_unified_context
@@ -29,8 +29,7 @@ from .salience import SalienceProfile, compute_salience
 from .scoring import Candidate, RankedList, rank_candidates
 
 
-@dataclass
-class EngineData:
+class EngineData(NamedTuple):
     """The three data bundles commands load once per invocation."""
 
     registry: Registry
@@ -46,8 +45,7 @@ def load_engine_data(cfg: RunConfig) -> EngineData:
     )
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     context: UnifiedContext
     salience: SalienceProfile
     ranked: RankedList | None = None
@@ -133,13 +131,12 @@ def run_pipeline(
         lexicons=data.lexicons,
         filter_normative=cfg.filter_normative,
     )
-    result = PipelineResult(context=context, salience=salience, ranked=ranked)
-    need_plan = want_appraisal or want_compare
-    if need_plan:
-        result.plan = build_plan(ranked, salience, context, data.registry)
-        result.explanation = realize_appraisal(result.plan, data, cfg, runlog)
+    plan = explanation = baseline = comparison = None
+    if want_appraisal or want_compare:
+        plan = build_plan(ranked, salience, context, data.registry)
+        explanation = realize_appraisal(plan, data, cfg, runlog)
     if want_baseline or want_compare:
-        result.baseline = realize_baseline(context, candidates, data, cfg, runlog)
+        baseline = realize_baseline(context, candidates, data, cfg, runlog)
     if want_compare:
-        result.comparison = compare(result.explanation, result.baseline, result.plan)
-    return result
+        comparison = compare(explanation, baseline, plan)
+    return PipelineResult(context, salience, ranked, plan, explanation, baseline, comparison)

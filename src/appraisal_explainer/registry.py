@@ -10,11 +10,11 @@ add or remove dimensions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import UnknownDimension
 
@@ -43,15 +43,13 @@ DIMENSIONS = tuple(Dimension)
 _DIMENSION_ORDER = {dim: idx for idx, dim in enumerate(DIMENSIONS)}
 
 
-@dataclass(frozen=True)
-class DimensionInfo:
+class DimensionInfo(NamedTuple):
     id: Dimension
     display_name: str
     canonical_statement: str
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(NamedTuple):
     """One DimensionInfo per dimension, in canonical dimension order."""
 
     dimensions: tuple[DimensionInfo, ...]

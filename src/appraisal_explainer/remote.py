@@ -8,7 +8,7 @@ timeout, no shared mutable state, so concurrent calls are safe. Each imports
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ProtocolError, RealizerUnavailable, ScorerUnavailable
 
@@ -22,8 +22,7 @@ DEFAULT_LLM_MODEL = "gpt-4o"
 DEFAULT_TIMEOUT_SECONDS = 10.0
 
 
-@dataclass(frozen=True)
-class EntailmentEndpoint:
+class EntailmentEndpoint(NamedTuple):
     url: str
     model: str = DEFAULT_NLI_MODEL
     timeout: float = DEFAULT_TIMEOUT_SECONDS
@@ -36,8 +35,7 @@ class EntailmentEndpoint:
         return cls(url=url)
 
 
-@dataclass(frozen=True)
-class ChatEndpoint:
+class ChatEndpoint(NamedTuple):
     url: str
     model: str = DEFAULT_LLM_MODEL
     api_key: str | None = None

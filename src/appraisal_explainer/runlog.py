@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-@dataclass
-class RunRecord:
+class RunRecord(NamedTuple):
     mode: str
     realizer: str
     response: str
@@ -34,9 +33,11 @@ class RunRecord:
         }
 
 
-@dataclass
 class RunLog:
-    records: list[RunRecord] = field(default_factory=list)
+    """The records of a run's realizer calls, in call order."""
+
+    def __init__(self):
+        self.records: list[RunRecord] = []
 
     def record(
         self,

@@ -9,7 +9,7 @@ against each dimension's canonical statement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .context import UnifiedContext
 from .errors import ConfigError, InvalidScore, ProtocolError, ScorerUnavailable
@@ -32,8 +32,7 @@ GOALS_BONUS = 1.0
 CONSTRAINTS_BONUS = 1.0
 
 
-@dataclass(frozen=True)
-class SalienceProfile:
+class SalienceProfile(NamedTuple):
     """Normalized per-dimension weights plus the ordered dominant dimensions."""
 
     weights: dict[Dimension, float]

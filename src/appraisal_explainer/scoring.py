@@ -34,12 +34,11 @@ interned strings, so every candidate that shares a tag list shares them.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .context import UnifiedContext, minutes_text, tally_sentiment_tokens, tokenize
+from .context import Immutable, UnifiedContext, minutes_text, tally_sentiment_tokens, tokenize
 from .errors import DuplicateCandidate, IncompleteVector, NoCandidates
 from .lexicons import Lexicons
 from .registry import DIMENSIONS, Dimension
@@ -86,9 +85,7 @@ class CandidateFeatures(NamedTuple):
     """The query-independent tokens the scorers read, derived once per candidate.
 
     Tuples of interned strings, not sets: a catalog shares most of its
-    vocabulary, so each candidate keeps only the tuples' pointers. A named
-    tuple because defining a dataclass adds about 1 ms to every command's
-    import.
+    vocabulary, so each candidate keeps only the tuples' pointers.
     """
 
     terms: tuple[str, ...]  # unique tokens of name, description and tags
@@ -99,23 +96,40 @@ class CandidateFeatures(NamedTuple):
     description_tokens: tuple[str, ...]  # tokens of the description, in order
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(Immutable):
     """One recommendable item, e.g. a recipe."""
 
-    id: str
-    name: str
-    description: str = ""
-    prep_time_minutes: int = 1
-    ingredients: tuple[str, ...] = ()
-    tags: tuple[str, ...] = ()
-    customization_options: int = 0
+    def __init__(
+        self,
+        id: str,
+        name: str,
+        description: str = "",
+        prep_time_minutes: int = 1,
+        ingredients: tuple[str, ...] = (),
+        tags: tuple[str, ...] = (),
+        customization_options: int = 0,
+    ):
+        # Stored straight into the instance dict, the same keys in the same
+        # order for every candidate, so all candidates share one table of
+        # keys, which ``features`` joins on first use. ``_intrinsic`` is where
+        # ``_intrinsic_parts`` keeps its cache: stored here, it shares that
+        # table; stored after ``features``, it would cost each candidate a
+        # private dict of about 400 bytes.
+        fields = self.__dict__
+        fields["id"] = id
+        fields["name"] = name
+        fields["description"] = description
+        fields["prep_time_minutes"] = prep_time_minutes
+        fields["ingredients"] = ingredients
+        fields["tags"] = tags
+        fields["customization_options"] = customization_options
+        fields["_intrinsic"] = None
 
-    def __post_init__(self):
-        # The slot ``_intrinsic_parts`` keeps its cache in. Set here, it shares
-        # the class's dict keys; added after ``features`` has materialized the
-        # instance dict, it would cost a private dict of about 400 bytes.
-        object.__setattr__(self, "_intrinsic", None)
+    def _key(self) -> tuple:
+        return (
+            self.id, self.name, self.description, self.prep_time_minutes, self.ingredients,
+            self.tags, self.customization_options,
+        )
 
     @classmethod
     def from_dict(cls, record: dict) -> "Candidate":
@@ -152,12 +166,7 @@ class Candidate:
 
 
 class AppraisalVector(NamedTuple):
-    """A candidate's per-dimension alignment scores with supporting evidence.
-
-    A named tuple, as is ``RankedEntry``: a query builds one of each per
-    ranked candidate, and a frozen dataclass costs about twice as much to
-    build.
-    """
+    """A candidate's per-dimension alignment scores with supporting evidence."""
 
     candidate_id: str
     scores: dict[Dimension, float]
@@ -171,14 +180,12 @@ class RankedEntry(NamedTuple):
     candidate: Candidate
 
 
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(NamedTuple):
     candidate_id: str
     reason: str
 
 
-@dataclass(frozen=True)
-class RankedList:
+class RankedList(NamedTuple):
     entries: tuple[RankedEntry, ...]
     excluded: tuple[Exclusion, ...]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -268,6 +267,20 @@ def test_explain_names_a_repeated_dietary_constraint_once(capsys, tmp_path):
     assert lines[-1] == "Dietary constraints satisfied: vegetarian."
 
 
+def test_plan_summary_names_a_repeated_goal_once(capsys, tmp_path):
+    profile = tmp_path / "quick.json"
+    profile.write_text(json.dumps({"user_id": "d", "goals": ["quick", "Quick"]}))
+    catalog = tmp_path / "bowl.json"
+    catalog.write_text(json.dumps([{"id": "a", "name": "Quick Veg Bowl", "prep_time_minutes": 10}]))
+    code, _, _ = _run(capsys, [
+        "explain", "--profile", str(profile), "--candidates", str(catalog),
+        "--query", "dinner in 20 minutes", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    plan = json.loads((tmp_path / "out" / "plan.json").read_text("utf-8"))
+    assert plan["context_summary"] == "goals: quick; time limit: 20 minutes"
+
+
 def test_explain_compare_structure(capsys, fixture_files):
     profile, query, candidates = fixture_files("sarah")
     code, out, _ = _run(
@@ -448,7 +461,7 @@ def test_config_sets_every_schema_key(tmp_path):
     assert set(doc) == set(CONFIG_SCHEMA["properties"])
     assert set(paths) == set(CONFIG_SCHEMA["properties"]["paths"]["properties"])
     # Every value differs from its default, and RunConfig has no other field.
-    assert dataclasses.asdict(resolve_config(doc, {}, out_dir=str(tmp_path))) == {
+    assert resolve_config(doc, {}, out_dir=str(tmp_path))._asdict() == {
         **{f"{key}_path": path for key, path in paths.items()},
         **{key: value for key, value in doc.items() if key != "paths"},
         "out_dir": str(tmp_path),

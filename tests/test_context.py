@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from appraisal_explainer import (
+    Candidate,
     Dimension,
     Query,
     UserProfile,
     build_unified_context,
+    compute_salience,
     parse_time_constraint,
+    rank_candidates,
     tally_sentiment,
     tokenize,
 )
@@ -131,6 +134,45 @@ def test_tally_sentiment_counts_each_occurrence(lexicons):
 def test_query_rejects_empty_text():
     with pytest.raises(EmptyQuery):
         Query(text="   ")
+
+
+def _records(registry, lexicons):
+    profile = UserProfile(user_id="u", goals=("quick",))
+    context = build_unified_context(profile, Query(text="dinner in 20 minutes"), registry, lexicons)
+    salience = compute_salience(context, registry)
+    candidate = Candidate(id="c", name="Bowl", prep_time_minutes=10)
+    ranked = rank_candidates([candidate], context, salience, lexicons=lexicons)
+    return {
+        "Candidate": candidate, "UserProfile": profile, "Query": context.query,
+        "UnifiedContext": context, "SalienceProfile": salience, "RankedList": ranked,
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("Candidate", "prep_time_minutes"),
+        ("UserProfile", "goals"),
+        ("Query", "text"),
+        ("UnifiedContext", "time_constraint_minutes"),
+        ("SalienceProfile", "weights"),
+        ("RankedList", "entries"),
+    ],
+)
+def test_records_refuse_assignment_and_keep_their_construction_checks(kind, field, registry, lexicons):
+    # A candidate's kept intrinsic parts, a context's compiled situational
+    # checks and a profile's unique goals and constraints are cached per
+    # instance: they stay valid only because no field changes after construction.
+    record = _records(registry, lexicons)[kind]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is value
+    with pytest.raises(EmptyQuery):
+        Query(text="  ")
+    assert UserProfile(user_id="u", goals=(" Quick ", "")).goals == ("quick",)
 
 
 def test_sarah_context_signals(sarah_context):

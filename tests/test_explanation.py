@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 
 import pytest
 
@@ -97,10 +96,8 @@ def test_template_score_only_fallback(alex_plan):
 def test_template_never_favors_a_zero_score(sarah_plan):
     # A dominant finding that scores 0 but carries evidence counts against the choice.
     top = sarah_plan.dominant[0]
-    overshoot = dataclasses.replace(
-        top, score=0.0, evidence=("prep time 45 min exceeds the 15 minutes available",)
-    )
-    text = realize_template(dataclasses.replace(sarah_plan, dominant=(overshoot,)))
+    overshoot = top._replace(score=0.0, evidence=("prep time 45 min exceeds the 15 minutes available",))
+    text = realize_template(sarah_plan._replace(dominant=(overshoot,)))
     assert text.splitlines()[1] == (
         f"{top.display_name} (weight {top.weight:.2f}): counts against this choice: "
         "prep time 45 min exceeds the 15 minutes available."

@@ -214,7 +214,10 @@ _SUCCESS_RUNS = {
 @pytest.mark.parametrize("run", _SUCCESS_RUNS)
 def test_cli_leaves_jsonschema_and_requests_unloaded(fixture_files, tmp_path, run):
     # Only the two remote clients need requests, and they import it when
-    # called; jsonschema only words the error of a rejected document.
+    # called; jsonschema only words the error of a rejected document. The
+    # engine defines its records without dataclasses: importing it loads
+    # inspect, ast, dis and tokenize, and decorating the records took about a
+    # fifth of a fresh ``scenario`` process.
     profile, query, candidates = fixture_files("alex")
     overrides = {
         "config": {"top_k": 2, "paths": {"registry": None}},
@@ -231,7 +234,7 @@ def test_cli_leaves_jsonschema_and_requests_unloaded(fixture_files, tmp_path, ru
     probe = (
         "import sys, appraisal_explainer.cli\n"
         "assert not sys.argv[1:] or appraisal_explainer.cli.main(sys.argv[1:]) == 0\n"
-        "print(sorted({'jsonschema', 'requests'} & sys.modules.keys()))"
+        "print(sorted({'dataclasses', 'inspect', 'jsonschema', 'requests'} & sys.modules.keys()))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe, *argv],

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import io
 import os
 import random
@@ -52,6 +52,12 @@ def _salience(values):
 
 def _context(registry, lexicons, profile, text):
     return build_unified_context(profile, Query(text=text), registry, lexicons)
+
+
+def _rebuilt(candidate, **changes):
+    """A new candidate with ``candidate``'s fields and ``changes``: nothing derived or kept yet."""
+    fields = {name: getattr(candidate, name) for name in inspect.signature(Candidate).parameters}
+    return Candidate(**{**fields, **changes})
 
 
 def test_urgency_formula_example(registry, lexicons):
@@ -439,7 +445,7 @@ def test_cached_features_score_like_a_fresh_candidate(candidates, first, second,
     context = _context(registry, lexicons, second, queries[1])
     for candidate in candidates:
         appraisal_vector(candidate, warm, lexicons)  # builds and keeps the features
-        fresh = dataclasses.replace(candidate)
+        fresh = _rebuilt(candidate)
         assert "features" in vars(candidate) and "features" not in vars(fresh)
         assert appraisal_vector(candidate, context, lexicons) == appraisal_vector(fresh, context, lexicons)
 
@@ -483,7 +489,7 @@ def test_warm_candidate_scores_like_a_fresh_record(candidates, profile, queries,
         lex = both[index % 2]
         context = _context(registry, lex, profile, query)
         for candidate in candidates:
-            fresh = Candidate.from_dict(dataclasses.asdict(candidate))
+            fresh = _rebuilt(candidate)
             assert appraisal_vector(candidate, context, lex) == appraisal_vector(fresh, context, lex)
 
 
@@ -541,7 +547,7 @@ def test_adding_a_candidate_never_reorders_the_others(
 ):
     context = _context(registry, lexicons, profile, query)
     salience = compute_salience(context, registry)
-    added = dataclasses.replace(extra[0], id="added")
+    added = _rebuilt(extra[0], id="added")
 
     def ranked_ids(catalog):
         ranked = rank_candidates(
@@ -885,6 +891,6 @@ def test_realization_is_deterministic(candidates, situations, filter_normative, 
     for context in contexts:
         explained(candidates, context)
     warm = explained(candidates, contexts[-1])
-    fresh_candidates = [Candidate.from_dict(dataclasses.asdict(candidate)) for candidate in candidates]
+    fresh_candidates = [_rebuilt(candidate) for candidate in candidates]
     fresh = explained(fresh_candidates, _context(registry, lexicons, *situations[-1]))
     assert warm == fresh
