@@ -22,6 +22,22 @@ collector ran 630 collections (4 of the oldest generation) that freed 79
 objects and took about 0.29 s of a 2.0 s command (2-CPU shared VM, Python
 3.11.7). A process that owns its own collector policy can call
 ``run_pipeline`` and the other stages directly; none of them touches ``gc``.
+
+``run`` is the process entry point: ``python -m appraisal_explainer.cli`` and
+the installed ``appraise`` both call it. It runs ``main``, flushes stdout and
+stderr, and ends the process with ``os._exit``, so the interpreter's teardown
+never runs: no module cleanup, no final collection, no ``atexit`` handlers, no
+freeing of every object. None of that changes a byte of output. It cost a
+fresh ``appraise scenario alex`` about 14 ms of 115 ms, and a bare ``import
+appraisal_explainer.cli`` 15 ms of 104 ms, 11 ms of which any interpreter
+pays (medians of 40 fresh processes, same VM). Ending early is safe because
+every artifact is closed before ``main`` returns: JSON documents are written
+inside ``with`` blocks, and text files and the run log by
+``Path.write_text``. When a trace or profile function is set (coverage,
+``python -m cProfile``), ``run`` ends with ``sys.exit`` instead, so that tool
+still writes its results at exit. ``main`` itself never ends the process, so
+tests and other callers run it in-process; argparse's ``SystemExit`` (usage
+errors, ``--help``) passes through both.
 """
 
 from __future__ import annotations
@@ -343,5 +359,15 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """Run ``main`` and end the process with its exit code; see the module docstring."""
+    code = main()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

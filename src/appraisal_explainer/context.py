@@ -264,8 +264,8 @@ def _composite_text(profile: UserProfile, query: Query) -> str:
     parts = []
     if profile.description.strip():
         parts.append(profile.description.strip())
-    if profile.goals:
-        parts.append("Goals: " + ", ".join(profile.goals) + ".")
+    if profile.unique_goals:
+        parts.append("Goals: " + ", ".join(profile.unique_goals) + ".")
     parts.append(query.text.strip())
     return " ".join(parts)
 

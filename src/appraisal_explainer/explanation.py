@@ -251,9 +251,9 @@ def _render_profile(profile) -> str:
         [
             f"User: {profile.user_id}",
             f"About: {profile.description or '(none)'}",
-            f"Goals: {fmt(profile.goals)}",
+            f"Goals: {fmt(profile.unique_goals)}",
             f"Preferences: {fmt(profile.preference_keywords)}",
-            f"Dietary constraints: {fmt(profile.dietary_constraints)}",
+            f"Dietary constraints: {fmt(profile.unique_constraints)}",
             f"Familiar items: {fmt(profile.familiar_items)}",
         ]
     )

@@ -8,14 +8,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 @contextmanager
-def stub_server(respond):
+def stub_server(respond, delay=0.0):
     """Serve POSTs with ``respond(payload) -> (status, body)`` on a free port.
 
     ``body`` may be a dict (sent as JSON) or a raw string. Received payloads
-    are collected on the yielded server as ``server.requests``.
+    are collected on the yielded server as ``server.requests``. Each reply
+    waits ``delay`` seconds first; a reply still waiting when the stub shuts
+    down is never sent, so a slow stub does not hold up the test.
     """
     requests_seen = []
     headers_seen = []
+    stopping = threading.Event()
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -23,6 +26,8 @@ def stub_server(respond):
             payload = json.loads(self.rfile.read(length) or b"{}")
             requests_seen.append(payload)
             headers_seen.append(dict(self.headers))
+            if stopping.wait(delay):
+                return
             status, body = respond(payload)
             raw = body if isinstance(body, str) else json.dumps(body)
             data = raw.encode("utf-8")
@@ -47,6 +52,7 @@ def stub_server(respond):
     try:
         yield server
     finally:
+        stopping.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)

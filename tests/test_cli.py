@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import pstats
 import random
 import subprocess
 import sys
@@ -681,6 +682,70 @@ def test_closed_stdout_exits_quietly(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == b""
+
+
+def _cli_process(argv, python_args=("-m", "appraisal_explainer.cli")):
+    """Run the CLI in a fresh process, stdout and stderr read through pipes."""
+    import appraisal_explainer
+
+    env = {**os.environ, "PYTHONPATH": str(Path(appraisal_explainer.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *python_args, *argv], capture_output=True, env=env, timeout=60
+    )
+
+
+def test_process_writes_the_scenario_goldens(tmp_path):
+    # The process ends without interpreter teardown: every artifact must be
+    # complete when ``main`` returns.
+    done = _cli_process(["scenario", "alex", "--out", str(tmp_path)])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"scenario alex: PASS\n")
+    for name in ("salience.json", "ranking.json", "plan.json", "explanation.txt"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / f"alex_{name}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("with_profile", "code", "err"),
+    [
+        (True, 1, "error: candidate set is empty\n"),
+        (False, 2, "error: --profile is required for this command\n"),
+    ],
+)
+def test_process_keeps_exit_code_and_stderr(capsys, fixture_files, tmp_path, with_profile, code, err):
+    profile, query, _ = fixture_files("sarah")
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    argv = ["rank", "--query", query, "--candidates", str(empty)]
+    argv += ["--profile", profile] if with_profile else []
+    assert _run(capsys, argv) == (code, "", err)
+    done = _cli_process(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, b"", err.encode())
+
+
+def test_piped_process_output_equals_main(capsys, tmp_path):
+    # More than one writer block of JSON, all of it flushed before the process ends.
+    profile, candidates = _large_inputs(tmp_path)
+    argv = [
+        "rank", "--profile", str(profile), "--query", _QUERY, "--candidates", str(candidates),
+        "--format", "json",
+    ]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    done = _cli_process(argv)
+    assert (done.returncode, done.stderr, done.stdout) == (0, b"", out.encode("utf-8"))
+
+
+def test_profiled_process_writes_its_profile(tmp_path):
+    # Under a profile function the process ends with sys.exit, so cProfile
+    # still writes its output.
+    stats = tmp_path / "cli.prof"
+    done = _cli_process(
+        ["schemas", "profile"],
+        ("-m", "cProfile", "-o", str(stats), "-m", "appraisal_explainer.cli"),
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout) == SCHEMAS["profile"]
+    assert pstats.Stats(str(stats)).total_calls > 0
 
 
 @pytest.mark.parametrize("enabled", [True, False])

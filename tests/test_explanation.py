@@ -216,3 +216,15 @@ def test_an_amount_of_minutes_agrees_with_its_number(minutes, amount, registry, 
     assert realize_baseline_template(context, [dish]).endswith(f"It is ready in about {amount}.")
     prompt = build_prompt(MODE_BASELINE, context=context, candidates=[dish]).user_message()
     assert f"Detected time limit: {amount}\n" in prompt and f"Prep time: {amount}\n" in prompt
+
+
+def test_prompt_and_premise_name_a_repeated_goal_and_constraint_once(registry, lexicons):
+    profile = UserProfile.from_dict(
+        {"user_id": "d", "goals": ["quick", "Quick"], "dietary_constraints": ["vegetarian", "Vegetarian"]}
+    )
+    context = build_unified_context(profile, Query("dinner in 20 minutes"), registry, lexicons)
+    dish = Candidate(id="a", name="Veg Bowl", description="A bowl.", prep_time_minutes=10)
+    profile_section = build_prompt(MODE_BASELINE, context=context, candidates=[dish]).sections[0][1]
+    assert "\nGoals: quick\n" in profile_section
+    assert "\nDietary constraints: vegetarian\n" in profile_section
+    assert context.composite_text == "Goals: quick. dinner in 20 minutes"

@@ -37,6 +37,17 @@ from appraisal_explainer.scoring import rank_candidates
 from stub_servers import chat_response, dead_url, nli_response_for, stub_server
 
 CANNED = [0.9, 0.7, 0.3, 0.95, 0.2, 0.1]
+# A stub that would reply after SLOW_S seconds, to a client that waits
+# TIMEOUT_S: the client gives up first, and the stub never replies.
+SLOW_S = 5.0
+TIMEOUT_S = 0.2
+
+
+def _slow_endpoint(monkeypatch, endpoint_type, url):
+    """Make ``endpoint_type.from_env`` name ``url`` with a TIMEOUT_S timeout."""
+    monkeypatch.setattr(
+        endpoint_type, "from_env", classmethod(lambda cls: cls(url=url, timeout=TIMEOUT_S))
+    )
 
 
 def test_entailment_pass_through(sarah_context, registry):
@@ -135,6 +146,22 @@ def test_remote_salience_via_env(sarah_context, registry, monkeypatch):
     assert profile.weights == normalize(dict(zip(Dimension, CANNED)))
 
 
+def test_entailment_timeout_is_unavailable(sarah_context, registry):
+    with stub_server(lambda payload: (200, nli_response_for(payload)), delay=SLOW_S) as server:
+        with pytest.raises(ScorerUnavailable, match="timed out"):
+            remote_entailment_salience(
+                sarah_context, registry, EntailmentEndpoint(url=server.url, timeout=TIMEOUT_S)
+            )
+
+
+def test_entailment_timeout_falls_back_to_lexical(sarah_context, registry, monkeypatch):
+    with stub_server(lambda payload: (200, nli_response_for(payload)), delay=SLOW_S) as server:
+        _slow_endpoint(monkeypatch, EntailmentEndpoint, server.url)
+        profile = compute_salience(sarah_context, registry, scorer="remote", fallback=True)
+    assert profile.weights == normalize(lexical_salience(sarah_context, registry))
+    assert profile.scorer_id == salience.SCORER_FALLBACK
+
+
 @pytest.fixture
 def sarah_bundle(sarah, sarah_context, registry, lexicons):
     salience = compute_salience(sarah_context, registry)
@@ -188,6 +215,27 @@ def test_llm_fallback_matches_template(sarah_bundle, monkeypatch):
     assert text == realize_template(plan)
     assert runlog.records[-1].fallback is True
     assert runlog.records[-1].realizer == "template"
+
+
+def test_llm_timeout_is_unavailable(sarah_bundle):
+    _, bundle = sarah_bundle
+    with stub_server(lambda payload: (200, chat_response("late")), delay=SLOW_S) as server:
+        with pytest.raises(RealizerUnavailable, match="timed out"):
+            realize_llm(bundle, ChatEndpoint(url=server.url, timeout=TIMEOUT_S))
+
+
+def test_llm_timeout_falls_back_to_template(sarah_bundle, monkeypatch):
+    from appraisal_explainer.config import RunConfig
+    from appraisal_explainer.pipeline import load_engine_data, realize_appraisal
+
+    plan, _ = sarah_bundle
+    cfg = RunConfig(realizer="llm", fallback=True)
+    runlog = RunLog()
+    with stub_server(lambda payload: (200, chat_response("late")), delay=SLOW_S) as server:
+        _slow_endpoint(monkeypatch, ChatEndpoint, server.url)
+        text = realize_appraisal(plan, load_engine_data(cfg), cfg, runlog)
+    assert text == realize_template(plan)
+    assert [(r.realizer, r.fallback) for r in runlog.records] == [("template", True)]
 
 
 def test_llm_auth_header_sent(sarah_bundle):
