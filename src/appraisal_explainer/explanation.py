@@ -28,7 +28,7 @@ from .remote import ChatEndpoint, request_chat_completion
 from .runlog import RunLog
 from .salience import SalienceProfile
 from .schemas import PROMPTS_SCHEMA, load_document
-from .scoring import VALENCE_MIDPOINT, Candidate, RankedList, time_fit
+from .scoring import Against, Candidate, Neutral, RankedList
 
 MODE_APPRAISAL = "appraisal"
 MODE_BASELINE = "baseline"
@@ -124,53 +124,43 @@ def build_plan(
     )
 
 
-def _overruns_time_limit(plan: ExplanationPlan) -> bool:
-    """Whether the winner's time fit is below 1: its prep time exceeds the query's limit."""
-    fit, _ = time_fit(plan.context.time_constraint_minutes, plan.candidate.prep_time_minutes)
-    return fit < 1.0
+# The clause that quotes each stance's evidence, in order; a plain ``str`` is for.
+_STANCE_CLAUSES = (
+    (str, "favored because "),
+    (Neutral, "neither favors nor counts against this choice: "),
+    (Against, "counts against this choice: "),
+)
 
 
 def realize_template(plan: ExplanationPlan) -> str:
     """Deterministic text realization; identical plans yield identical bytes.
 
-    Structure: one recommendation sentence, one sentence per dominant
-    dimension quoting its evidence verbatim (score-only phrasing when a
-    dimension carries no evidence; "counts against this choice" when it
-    scores 0, as a violated constraint does, or when Valence scores below its
-    midpoint; "neither favors nor counts against this choice" for a Valence
-    at its midpoint, a neutral description; for an Urgency whose time fit is
-    below 1, the overrun counts against the choice and only a keyword match
-    is "favored because"), and, when the profile has dietary constraints, a
-    closing sentence from the winner's NormativeSignificance finding:
-    "satisfied", naming each constraint once, only when it scores 1.0, else
-    its violations.
+    One recommendation sentence; per dominant dimension, one sentence that
+    quotes its evidence verbatim in a clause per stance the scorer marked,
+    "favored because", then "neither favors nor counts against this choice",
+    then "counts against this choice", joined by "; " (the score alone when it
+    has no evidence); and, when the profile has dietary constraints, the
+    winner's violations, or else each constraint once as satisfied.
     """
-    lines = [
-        f"Recommended: {plan.candidate.name} (composite match {plan.composite:.2f})."
-    ]
+    lines = [f"Recommended: {plan.candidate.name} (composite match {plan.composite:.2f})."]
     for finding in plan.dominant:
         head = f"{finding.display_name} (weight {finding.weight:.2f}): "
-        evidence = "; ".join(finding.evidence)
-        valence = finding.dimension is Dimension.VALENCE
-        if not finding.evidence:
-            lines.append(head + f"alignment score {finding.score:.2f}; no direct evidence recorded.")
-        elif finding.score == 0.0 or (valence and finding.score < VALENCE_MIDPOINT):
-            lines.append(head + f"counts against this choice: {evidence}.")
-        elif valence and finding.score == VALENCE_MIDPOINT:
-            lines.append(head + f"neither favors nor counts against this choice: {evidence}.")
-        elif finding.dimension is Dimension.URGENCY and _overruns_time_limit(plan):
-            # Urgency's time evidence comes first; what follows is the keyword match.
-            overrun, *keywords = finding.evidence
-            reasons = f"favored because {'; '.join(keywords)}; " if keywords else ""
-            lines.append(head + f"{reasons}counts against this choice: {overrun}.")
+        clauses = [
+            wording + "; ".join(fact for fact in finding.evidence if type(fact) is stance)
+            for stance, wording in _STANCE_CLAUSES
+            if stance in map(type, finding.evidence)
+        ]
+        if clauses:
+            lines.append(head + "; ".join(clauses) + ".")
         else:
-            lines.append(head + f"favored because {evidence}.")
-    constraints = plan.context.profile.unique_constraints
+            lines.append(head + f"alignment score {finding.score:.2f}; no direct evidence recorded.")
     normative = next(f for f in plan.per_dimension if f.dimension is Dimension.NORMATIVE_SIGNIFICANCE)
-    if constraints and normative.score == 1.0:
-        lines.append("Dietary constraints satisfied: " + ", ".join(constraints) + ".")
+    violations = [fact for fact in normative.evidence if type(fact) is Against]
+    constraints = plan.context.profile.unique_constraints
+    if violations:
+        lines.append("Dietary constraints not satisfied: " + "; ".join(violations) + ".")
     elif constraints:
-        lines.append("Dietary constraints not satisfied: " + "; ".join(normative.evidence) + ".")
+        lines.append("Dietary constraints satisfied: " + ", ".join(constraints) + ".")
     return "\n".join(lines)
 
 

@@ -5,6 +5,12 @@ least one human-readable evidence string; the explanation stage quotes the
 evidence verbatim. Composite scores accumulate in the fixed dimension order
 so results are bit-reproducible.
 
+Each evidence string carries its stance, decided here and nowhere else: a
+plain ``str`` counts for the candidate; an ``Against`` counts against it (a
+violated diet, a prep time over the limit, a mostly negative description);
+a ``Neutral`` does neither (no time limit given, a description with no or
+balanced sentiment). The marks are ``str`` subclasses: they serialize as text.
+
 The checks split as in Scherer's component process model:
 
 - Intrinsic checks depend only on the candidate and the lexicons, never on
@@ -20,15 +26,15 @@ The checks split as in Scherer's component process model:
   diet) is compiled on a context's first appraisal and kept on that
   ``UnifiedContext``, which is immutable, so it never goes stale and is
   never shared with another context. It also memoizes the time fit and its
-  evidence, keyed by prep minutes. The candidate-dependent part is scored on
-  every appraisal.
+  evidence, keyed by prep minutes, from a memo that contexts with the same
+  limit share. The candidate-dependent part is scored on every appraisal.
 
 A candidate's features (its tokens) are built once and kept on it. A catalog
 repeats its tags and ingredients, so each tag's and ingredient's tokens and
 lower-cased form come from a memo keyed by the string, and each tag list's
-derived tuples from a memo keyed by the list; both are ``lru_cache``s bounded
-by ``ITEM_MEMO_SIZE`` (4,096) entries. Their values are immutable tuples of
-interned strings, so every candidate that shares a tag list shares them.
+derived tuples from a memo keyed by the list; these and the time-fit memo are
+``lru_cache``s bounded by ``ITEM_MEMO_SIZE`` (4,096) entries. Tag tuples hold
+interned strings, and every candidate that shares a tag list shares them.
 """
 
 from __future__ import annotations
@@ -52,6 +58,20 @@ URGENCY_KEYWORD_SATURATION = 2.0
 AGENCY_SATURATION = 3.0
 # A description with no sentiment, or as much negative as positive, scores this.
 VALENCE_MIDPOINT = 0.5
+
+
+class Against(str):
+    """Evidence that counts against the candidate."""
+    __slots__ = ()
+
+
+class Neutral(str):
+    """Evidence that neither favors the candidate nor counts against it."""
+    __slots__ = ()
+
+
+# One shared object: a marked copy per candidate would cost each about 50 bytes.
+_NO_SENTIMENT = Neutral("description sentiment: neutral (no lexicon matches)")
 
 
 def _interned(values) -> tuple[str, ...]:
@@ -207,10 +227,12 @@ def _score_valence(candidate, lexicons):
     pos, neg = tally.positive_hits, tally.negative_hits
     score = _clamp01(VALENCE_MIDPOINT + 0.5 * (pos - neg) / max(1, pos + neg))
     if tally.total == 0:
-        evidence = "description sentiment: neutral (no lexicon matches)"
+        evidence = _NO_SENTIMENT
     else:
+        # The score is above, at or below the midpoint exactly as pos is above, at or below neg.
+        stance = str if pos > neg else Neutral if pos == neg else Against
         words = ", ".join(tally.matched_words)
-        evidence = f"description sentiment: {pos} positive, {neg} negative ({words})"
+        evidence = stance(f"description sentiment: {pos} positive, {neg} negative ({words})")
     return score, (evidence,)
 
 
@@ -247,17 +269,16 @@ def _intrinsic_parts(candidate: Candidate, lexicons: Lexicons) -> tuple:
     return cached
 
 
-def time_fit(limit: int | None, prep: int) -> tuple[float, tuple[str]]:
-    """Urgency's time fit for ``prep`` minutes, and its evidence.
-
-    The fit is below 1 exactly when ``prep`` overruns ``limit``.
-    """
+# Shared by contexts: marked strings are collector-tracked, and new ones per query slowed a query stream.
+@lru_cache(maxsize=ITEM_MEMO_SIZE)
+def _time_fit(limit: int | None, prep: int) -> tuple[float, tuple[str]]:
+    """Urgency's time fit for ``prep`` minutes, and its evidence."""
     if limit is None:
-        return 1.0, (f"no time limit given; prep time {prep} min",)
+        return 1.0, (Neutral(f"no time limit given; prep time {prep} min"),)
     fit = _clamp01(1.0 - max(0, prep - limit) / limit)
     if prep <= limit:
         return fit, (f"prep time {prep} min is within the {minutes_text(limit)} available",)
-    return fit, (f"prep time {prep} min exceeds the {minutes_text(limit)} available",)
+    return fit, (Against(f"prep time {prep} min exceeds the {minutes_text(limit)} available"),)
 
 
 def _constraint_rule(constraint: str) -> tuple[str, str | None, str]:
@@ -274,8 +295,8 @@ def _constraint_rule(constraint: str) -> tuple[str, str | None, str]:
     elif constraint.endswith("-free"):
         banned = constraint[: -len("-free")]
     if banned:
-        return constraint, banned, f"violates '{constraint}': contains {banned}"
-    return constraint, None, f"violates '{constraint}': not tagged {constraint}"
+        return constraint, banned, Against(f"violates '{constraint}': contains {banned}")
+    return constraint, None, Against(f"violates '{constraint}': not tagged {constraint}")
 
 
 _NO_FINDING = (0.0, ())
@@ -311,7 +332,7 @@ class _Situation:
         try:
             fit, evidence = self.times[prep]
         except KeyError:
-            fit, evidence = self.times[prep] = time_fit(self.limit, prep)
+            fit, evidence = self.times[prep] = _time_fit(self.limit, prep)
         score = _clamp01(URGENCY_TIME_WEIGHT * fit + URGENCY_KEYWORD_WEIGHT * keyword_part)
         if keyword_evidence is None:
             return score, evidence

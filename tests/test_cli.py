@@ -258,6 +258,27 @@ def test_explain_words_an_urgency_overrun_against_the_choice(capsys, tmp_path):
     )
 
 
+def test_explain_words_urgency_without_a_time_limit_as_neither_for_nor_against(capsys, tmp_path):
+    # The query asks for speed but gives no limit, so the 90-minute stew's
+    # prep time is reported, not cited as a reason for it.
+    profile = tmp_path / "hurry.json"
+    profile.write_text(json.dumps({"user_id": "d", "goals": ["quick"], "dietary_constraints": ["vegetarian"]}))
+    catalog = tmp_path / "stew.json"
+    catalog.write_text(json.dumps([{
+        "id": "a", "name": "Slow Veg Stew", "description": "A stew.",
+        "prep_time_minutes": 90, "tags": ["vegetarian"],
+    }]))
+    code, out, _ = _run(capsys, [
+        "explain", "--profile", str(profile), "--candidates", str(catalog),
+        "--query", "dinner please, I am in a hurry",
+    ])
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "Urgency (weight 0.60): neither favors nor counts against this choice: "
+        "no time limit given; prep time 90 min."
+    )
+
+
 def test_explain_names_a_repeated_dietary_constraint_once(capsys, tmp_path):
     code, out, _ = _run(capsys, _quick_bowl(tmp_path))
     assert code == 0

@@ -18,6 +18,7 @@ from appraisal_explainer import (
     realize_template,
     score_dimension,
 )
+from appraisal_explainer import scoring
 from appraisal_explainer.errors import InvalidPromptRequest, NothingToExplain
 from appraisal_explainer.explanation import MODE_APPRAISAL, MODE_BASELINE, summarize_context, weight_label
 from appraisal_explainer.scoring import RankedList
@@ -94,13 +95,27 @@ def test_template_score_only_fallback(alex_plan):
 
 
 def test_template_never_favors_a_zero_score(sarah_plan):
-    # A dominant finding that scores 0 but carries evidence counts against the choice.
+    # A dominant finding that scores 0 but carries evidence counts against the
+    # choice: a 45-minute dish overruns 15 minutes, and the scorer marks it so.
     top = sarah_plan.dominant[0]
-    overshoot = top._replace(score=0.0, evidence=("prep time 45 min exceeds the 15 minutes available",))
+    fit, evidence = scoring._time_fit(15, 45)
+    overshoot = top._replace(score=fit, evidence=evidence)
     text = realize_template(sarah_plan._replace(dominant=(overshoot,)))
     assert text.splitlines()[1] == (
         f"{top.display_name} (weight {top.weight:.2f}): counts against this choice: "
         "prep time 45 min exceeds the 15 minutes available."
+    )
+
+
+def test_template_writes_one_clause_per_stance_in_a_fixed_order(sarah_plan):
+    top = sarah_plan.dominant[0]
+    marked = top._replace(evidence=(
+        scoring.Against("a1"), scoring.Neutral("n1"), "f1", scoring.Against("a2"), "f2",
+    ))
+    text = realize_template(sarah_plan._replace(dominant=(marked,)))
+    assert text.splitlines()[1] == (
+        f"{top.display_name} (weight {top.weight:.2f}): favored because f1; f2; "
+        "neither favors nor counts against this choice: n1; counts against this choice: a1; a2."
     )
 
 

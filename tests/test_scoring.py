@@ -463,6 +463,54 @@ def test_ranking_ignores_input_order(candidates, profile, query, data, registry,
     assert sorted(ranked.excluded, key=by_id) == sorted(reranked.excluded, key=by_id)
 
 
+@settings(max_examples=80, deadline=None)
+@given(candidates=random_candidates(), profile=random_profiles(), query=QUERIES)
+def test_evidence_stance_agrees_with_the_scores(candidates, profile, query, registry, lexicons):
+    context = _context(registry, lexicons, profile, query)
+    limit = context.time_constraint_minutes
+    for candidate in candidates:
+        vector = appraisal_vector(candidate, context, lexicons)
+        for dim in DIMS:
+            marks = {type(fact) for fact in vector.evidence[dim]}
+            assert marks <= {str, scoring.Against, scoring.Neutral}
+            if str in marks:
+                assert vector.scores[dim] > 0.0, f"{dim} scores 0 with evidence for it"
+        valence, midpoint = vector.scores[Dimension.VALENCE], scoring.VALENCE_MIDPOINT
+        (valence_mark,) = map(type, vector.evidence[Dimension.VALENCE])
+        assert valence_mark is (
+            str if valence > midpoint else scoring.Neutral if valence == midpoint else scoring.Against
+        )
+        time_mark = type(vector.evidence[Dimension.URGENCY][0])
+        assert (time_mark is scoring.Against) == (limit is not None and candidate.prep_time_minutes > limit)
+        assert (time_mark is scoring.Neutral) == (limit is None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(candidates=random_candidates(), profile=random_profiles(), query=QUERIES, data=st.data())
+def test_template_words_each_finding_from_its_marks_alone(candidates, profile, query, data, registry, lexicons):
+    context = _context(registry, lexicons, profile, query)
+    salience = compute_salience(context, registry)
+    ranked = rank_candidates(candidates, context, salience, lexicons=lexicons, filter_normative=False)
+    plan = build_plan(ranked, salience, context, registry)
+    text = realize_template(plan)
+    for finding, line in zip(plan.dominant, text.splitlines()[1:]):
+        assert all(fact in line for fact in finding.evidence)
+        reasons = [fact for fact in finding.evidence if type(fact) is str]
+        _, favored, rest = line.partition("favored because ")
+        if not reasons:
+            assert not favored
+            continue
+        for wording in ("; neither favors nor counts against this choice: ", "; counts against this choice: "):
+            rest = rest.partition(wording)[0]
+        assert rest.removesuffix(".") == "; ".join(reasons)
+    # Realization reads the marks, not the scores, of findings with evidence.
+    rescored = tuple(
+        finding._replace(score=data.draw(st.floats(min_value=0, max_value=1))) if finding.evidence else finding
+        for finding in plan.dominant
+    )
+    assert realize_template(plan._replace(dominant=rescored)) == text
+
+
 # Moves the words the kept parts read: the sentiment, urgency and agency lists.
 LEXICON_OVERRIDE = {
     "dimensions": {"Urgency": ["stew", "bowl", "roast"], "Agency": ["spicy", "greens", "tofu"]},

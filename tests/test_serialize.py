@@ -11,7 +11,7 @@ from appraisal_explainer import (
     compute_salience,
     rank_candidates,
 )
-from appraisal_explainer.scoring import Exclusion, RankedEntry, RankedList
+from appraisal_explainer.scoring import Against, Exclusion, Neutral, RankedEntry, RankedList
 from appraisal_explainer.serialize import ranking_to_dict, write_ranking_json
 
 # Characters json escapes or passes through unescaped with ensure_ascii=False:
@@ -22,6 +22,8 @@ TEXT = st.text(
     max_size=12,
 )
 SCORE = st.floats(allow_nan=False, allow_infinity=False)
+# Evidence as the scorers write it: plain text is for, the marks against or neutral.
+EVIDENCE = st.one_of(TEXT, TEXT.map(Against), TEXT.map(Neutral))
 
 
 def _oracle(ranked: RankedList) -> str:
@@ -41,7 +43,7 @@ def entries(draw):
     vector = AppraisalVector(
         candidate_id=candidate_id,
         scores={dim: draw(SCORE) for dim in Dimension},
-        evidence={dim: tuple(draw(st.lists(TEXT, max_size=3))) for dim in with_evidence},
+        evidence={dim: tuple(draw(st.lists(EVIDENCE, max_size=3))) for dim in with_evidence},
     )
     return RankedEntry(candidate_id, draw(SCORE), vector, Candidate(id=candidate_id, name="n"))
 
@@ -59,6 +61,17 @@ RANKINGS = st.builds(
 @example(RankedList((), (Exclusion("x", "violates 'vegan': not tagged vegan"),)))
 def test_writer_matches_json_dumps_of_the_dict_view(ranked):
     assert _written(ranked) == _oracle(ranked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(EVIDENCE)
+def test_marked_evidence_encodes_as_its_text(fact):
+    plain = str.__str__(fact)
+    assert type(plain) is str
+    assert json.encoder.encode_basestring(fact) == json.encoder.encode_basestring(plain)
+    for indent in (None, 2):  # the C encoder, then the pure-Python one
+        dumped = [json.dumps([text], indent=indent, ensure_ascii=False) for text in (fact, plain)]
+        assert dumped[0] == dumped[1]
 
 
 @settings(max_examples=40, deadline=None)
