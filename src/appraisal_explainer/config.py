@@ -15,7 +15,7 @@ from .scoring import Candidate
 
 # jsonschema, imported by the first rejected profile or candidate set to word
 # its error. A module-level name only because the traced benchmark
-# (bench/run.py:tracing_patches) rebinds it; delete it with ROADMAP item 5's
+# (bench/run.py:tracing_patches) rebinds it; delete it with ROADMAP item 7's
 # benchmark change.
 jsonschema = None
 

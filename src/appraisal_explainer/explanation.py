@@ -132,6 +132,15 @@ _STANCE_CLAUSES = (
 )
 
 
+def _stance_clauses(evidence: tuple[str, ...]) -> list[str]:
+    """One clause per stance that has evidence, in ``_STANCE_CLAUSES`` order, quoting it verbatim."""
+    return [
+        wording + "; ".join(fact for fact in evidence if type(fact) is stance)
+        for stance, wording in _STANCE_CLAUSES
+        if stance in map(type, evidence)
+    ]
+
+
 def realize_template(plan: ExplanationPlan) -> str:
     """Deterministic text realization; identical plans yield identical bytes.
 
@@ -145,11 +154,7 @@ def realize_template(plan: ExplanationPlan) -> str:
     lines = [f"Recommended: {plan.candidate.name} (composite match {plan.composite:.2f})."]
     for finding in plan.dominant:
         head = f"{finding.display_name} (weight {finding.weight:.2f}): "
-        clauses = [
-            wording + "; ".join(fact for fact in finding.evidence if type(fact) is stance)
-            for stance, wording in _STANCE_CLAUSES
-            if stance in map(type, finding.evidence)
-        ]
+        clauses = _stance_clauses(finding.evidence)
         if clauses:
             lines.append(head + "; ".join(clauses) + ".")
         else:
@@ -263,13 +268,13 @@ def _render_situation(context: UnifiedContext) -> str:
 
 
 def _render_appraisals(plan: ExplanationPlan) -> str:
+    """One line per dominant finding; its evidence is worded by stance as ``realize_template`` words it."""
     lines = []
     for finding in plan.dominant:
-        evidence = "; ".join(finding.evidence) if finding.evidence else "no direct evidence"
+        evidence = "; ".join(_stance_clauses(finding.evidence)) or "no direct evidence"
         lines.append(
             f"- {finding.display_name}: weight {finding.weight:.3f} "
-            f"({weight_label(finding.weight)}); candidate score {finding.score:.3f}; "
-            f"evidence: {evidence}"
+            f"({weight_label(finding.weight)}); candidate score {finding.score:.3f}; {evidence}"
         )
     return "\n".join(lines)
 

@@ -279,6 +279,37 @@ def test_explain_words_urgency_without_a_time_limit_as_neither_for_nor_against(c
     )
 
 
+def test_llm_prompt_words_the_evidence_by_its_stance(capsys, tmp_path, monkeypatch):
+    # The inputs of the test above; with no chat endpoint the llm realizer
+    # falls back to the template, and the run log keeps the prompt it built.
+    monkeypatch.delenv("APPRAISAL_LLM_URL", raising=False)
+    profile = tmp_path / "hurry.json"
+    profile.write_text(json.dumps({"user_id": "d", "goals": ["quick"], "dietary_constraints": ["vegetarian"]}))
+    catalog = tmp_path / "stew.json"
+    catalog.write_text(json.dumps([{
+        "id": "a", "name": "Slow Veg Stew", "description": "A stew.",
+        "prep_time_minutes": 90, "tags": ["vegetarian"],
+    }]))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, [
+        "explain", "--profile", str(profile), "--candidates", str(catalog),
+        "--query", "dinner please, I am in a hurry",
+        "--realizer", "llm", "--fallback", "--out", str(out_dir),
+    ])
+    assert code == 0, err
+    records = [json.loads(line) for line in (out_dir / "runlog.jsonl").read_text().splitlines()]
+    [record] = [record for record in records if record["mode"] == "appraisal"]
+    assert record["fallback"] is True
+    appraisals = dict(record["prompt"]["sections"])["Dominant appraisals"]
+    assert appraisals.splitlines() == [
+        "- Urgency: weight 0.600 (high); candidate score 0.700; "
+        "neither favors nor counts against this choice: no time limit given; prep time 90 min",
+        "- Goal Relevance: weight 0.200 (medium); candidate score 0.000; no direct evidence",
+        "- Normative Significance: weight 0.200 (medium); candidate score 1.000; "
+        "favored because satisfies dietary constraints: vegetarian",
+    ]
+
+
 def test_explain_names_a_repeated_dietary_constraint_once(capsys, tmp_path):
     code, out, _ = _run(capsys, _quick_bowl(tmp_path))
     assert code == 0

@@ -1,5 +1,6 @@
 import inspect
 import io
+import math
 import os
 import random
 import subprocess
@@ -204,6 +205,28 @@ def test_composite_matches_manual_dot_product():
     for w, s in zip(weights, scores):
         expected += w * s
     assert composite_score(_vector("c", scores), _salience(weights)) == expected
+
+
+def test_composite_sums_left_to_right_without_compensation():
+    # A compensated sum (math.fsum, or sum() of floats from Python 3.12 on)
+    # gives 0.5833333333333334 here.
+    from appraisal_explainer import normalize
+
+    weights = normalize(dict(zip(DIMS, [3, 3, 0, 2, 4, 3])))
+    salience = _salience([weights[dim] for dim in DIMS])
+    vector = _vector("c", [0.6, 0.45, 0.75, 0.55, 0.9, 0.3])
+    assert composite_score(vector, salience) == 0.5833333333333333
+    [entry] = rank_vectors([vector], _candidates([vector]), salience, filter_normative=False).entries
+    assert entry.composite == 0.5833333333333333
+
+
+def test_composite_of_negative_zero_products_is_positive_zero():
+    # A sum from 0.0 gives +0.0 here; the expression's first product is -0.0, so the clamp decides.
+    vector = _vector("c", [0.0] * 6)
+    salience = _salience([-0.0] * 6)
+    assert math.copysign(1.0, composite_score(vector, salience)) == 1.0
+    [entry] = rank_vectors([vector], _candidates([vector]), salience, filter_normative=False).entries
+    assert math.copysign(1.0, entry.composite) == 1.0
 
 
 @given(
@@ -461,6 +484,23 @@ def test_ranking_ignores_input_order(candidates, profile, query, data, registry,
     assert ranked.entries == reranked.entries
     by_id = attrgetter("candidate_id")
     assert sorted(ranked.excluded, key=by_id) == sorted(reranked.excluded, key=by_id)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    candidates=random_candidates(), profile=random_profiles(), query=QUERIES,
+    filter_normative=st.booleans(),
+)
+def test_ranked_composites_are_the_composite_score_in_rank_order(
+    candidates, profile, query, filter_normative, registry, lexicons
+):
+    context = _context(registry, lexicons, profile, query)
+    salience = compute_salience(context, registry)
+    ranked = rank_candidates(candidates, context, salience, lexicons=lexicons, filter_normative=filter_normative)
+    for entry in ranked.entries:
+        assert entry.composite == composite_score(entry.vector, salience)
+    keys = [(-entry.composite, entry.candidate_id) for entry in ranked.entries]
+    assert keys == sorted(keys)
 
 
 @settings(max_examples=80, deadline=None)
@@ -863,6 +903,16 @@ TIMED_QUERIES = st.sampled_from(["feed me", "dinner in 20 minutes", "in 1 min", 
         dietary_constraints=("no-", "-free", "vegetarian", "no-nuts", "gluten-free", "no-nuts"),
     ),
     query="dinner in 20 minutes",
+)
+@example(  # a goal's second token is a term and its first is not; ingredients are not terms
+    candidates=[Candidate(id="a", name="Stew", ingredients=("fresh",))],
+    profile=UserProfile(user_id="u", goals=("salad stew", "fresh")),
+    query="feed me",
+)
+@example(  # a tokenless goal matches nothing but still counts toward the goals
+    candidates=[Candidate(id="a", name="Salad"), Candidate(id="b", name="Beans")],
+    profile=UserProfile(user_id="u", goals=("!!", "salad")),
+    query="feed me",
 )
 def test_compiled_situational_checks_score_like_the_per_candidate_scorers(
     candidates, profile, query, registry, lexicons
