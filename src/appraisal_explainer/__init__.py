@@ -7,11 +7,9 @@ explanation that justifies the winner in appraisal terms, with a
 non-appraisal baseline available for contrast.
 
 No record is a ``@dataclass``, and nothing on the import path loads the
-dataclass module, which brings ``inspect`` and ``ast`` with it. Each record is
-a ``typing.NamedTuple``, or a plain class with an explicit ``__init__`` when it
-validates, normalizes or caches. With 26 ``@dataclass`` records, importing
-the CLI took a median 64 ms; without them, 26 ms (15 alternating fresh
-imports, 2-CPU shared VM, Python 3.11.7).
+dataclass module, which brings ``inspect`` and ``ast`` with it, so importing
+the engine stays cheap. Each record is a ``typing.NamedTuple``, or a plain
+class with an explicit ``__init__`` when it validates, normalizes or caches.
 """
 
 __version__ = "0.1.0"
@@ -63,7 +61,6 @@ from .scoring import (
     composite_score,
     rank_candidates,
     rank_vectors,
-    score_dimension,
 )
 
 __all__ = [
@@ -104,7 +101,6 @@ __all__ = [
     "realize_llm",
     "realize_template",
     "remote_entailment_salience",
-    "score_dimension",
     "tally_sentiment",
     "tokenize",
 ]

@@ -16,24 +16,18 @@ Both write block by block, so no document is held as one string.
 collections off, and restores the collector's prior state on every exit, so
 a caller that had turned it off keeps it off. The data a command builds (the
 catalog, the candidates' features, the vectors and the entries) holds no
-reference cycles and lives until the command ends, so a collection only
-walks it: in one in-process ``rank`` of 20,000 generated candidates, the
-collector ran 630 collections (4 of the oldest generation) that freed 79
-objects and took about 0.29 s of a 2.0 s command (2-CPU shared VM, Python
-3.11.7). A process that owns its own collector policy can call
+reference cycles and lives until the command ends, so a collection would
+only walk it. A process that owns its own collector policy can call
 ``run_pipeline`` and the other stages directly; none of them touches ``gc``.
 
 ``run`` is the process entry point: ``python -m appraisal_explainer.cli`` and
 the installed ``appraise`` both call it. It runs ``main``, flushes stdout and
 stderr, and ends the process with ``os._exit``, so the interpreter's teardown
 never runs: no module cleanup, no final collection, no ``atexit`` handlers, no
-freeing of every object. None of that changes a byte of output. It cost a
-fresh ``appraise scenario alex`` about 14 ms of 115 ms, and a bare ``import
-appraisal_explainer.cli`` 15 ms of 104 ms, 11 ms of which any interpreter
-pays (medians of 40 fresh processes, same VM). Ending early is safe because
-every artifact is closed before ``main`` returns: JSON documents are written
-inside ``with`` blocks, and text files and the run log by
-``Path.write_text``. When a trace or profile function is set (coverage,
+freeing of every object. None of that changes a byte of output. Ending early
+is safe because every artifact is closed before ``main`` returns: JSON
+documents are written inside ``with`` blocks, and text files and the run log
+by ``Path.write_text``. When a trace or profile function is set (coverage,
 ``python -m cProfile``), ``run`` ends with ``sys.exit`` instead, so that tool
 still writes its results at exit. ``main`` itself never ends the process, so
 tests and other callers run it in-process; argparse's ``SystemExit`` (usage
@@ -139,10 +133,6 @@ def _dump_json(payload, stream) -> None:
     stream.write("\n")
 
 
-def _print_json(payload) -> None:
-    _dump_json(payload, sys.stdout)
-
-
 def _out_dir(cfg: RunConfig, default: Path | None = None) -> Path | None:
     """The artifact directory, created: ``--out``, else ``default``, else None."""
     path = cfg.out_dir or default
@@ -221,7 +211,7 @@ def cmd_salience(args: argparse.Namespace, cfg: RunConfig) -> int:
     if out is not None:
         _write_json(out / "salience.json", payload)
     if cfg.format == FORMAT_JSON:
-        _print_json(payload)
+        _dump_json(payload, sys.stdout)
     else:
         print(_render_salience_text(payload))
     return 0
@@ -271,7 +261,7 @@ def cmd_explain(args: argparse.Namespace, cfg: RunConfig) -> int:
             "comparison": comparison_to_dict(result.comparison),
         }
         if cfg.format == FORMAT_JSON:
-            _print_json(payload)
+            _dump_json(payload, sys.stdout)
         else:
             print("=== appraisal explanation ===")
             print(result.explanation)
@@ -283,7 +273,7 @@ def cmd_explain(args: argparse.Namespace, cfg: RunConfig) -> int:
     text = result.baseline if baseline_only else result.explanation
     mode = "baseline" if baseline_only else "appraisal"
     if cfg.format == FORMAT_JSON:
-        _print_json({"mode": mode, "explanation": text})
+        _dump_json({"mode": mode, "explanation": text}, sys.stdout)
     else:
         print(text)
     return 0
@@ -309,16 +299,9 @@ def cmd_scenario(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_schemas(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.name:
-        if args.name not in SCHEMAS:
-            print(
-                f"unknown schema {args.name!r}; available: {', '.join(sorted(SCHEMAS))}",
-                file=sys.stderr,
-            )
-            return 2
-        _print_json(SCHEMAS[args.name])
-    else:
-        _print_json(SCHEMAS)
+    if args.name and args.name not in SCHEMAS:
+        raise InputError(f"unknown schema {args.name!r}; available: {', '.join(sorted(SCHEMAS))}")
+    _dump_json(SCHEMAS[args.name] if args.name else SCHEMAS, sys.stdout)
     return 0
 
 

@@ -18,10 +18,6 @@ class ConfigError(InputError):
     """Malformed or out-of-range configuration."""
 
 
-class UnknownDimension(InputError):
-    """A record references a dimension id outside the closed set of six."""
-
-
 class EmptyQuery(InputError):
     """Query text is empty after trimming."""
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .context import Query, UserProfile
 from .errors import ConfigError
-from .registry import Dimension, parse_dimension
+from .registry import Dimension
 from .scoring import Candidate
 
 FIXTURE_NAMES = ("alex", "sarah")
@@ -40,8 +40,6 @@ def load_fixture(name: str) -> ScenarioFixture:
         profile=UserProfile.from_dict(doc["profile"]),
         query=Query(text=doc["query"]["text"], timestamp=doc["query"].get("timestamp")),
         candidates=tuple(Candidate.from_dict(record) for record in doc["candidates"]),
-        expected_dominant=frozenset(
-            parse_dimension(value) for value in doc["expected_dominant"]
-        ),
+        expected_dominant=frozenset(map(Dimension, doc["expected_dominant"])),
         notes=doc["notes"],
     )

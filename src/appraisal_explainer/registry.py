@@ -16,7 +16,6 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import UnknownDimension
 
 
 class Dimension(str, Enum):
@@ -56,13 +55,6 @@ class Registry(NamedTuple):
 
     def display_name(self, dim: Dimension) -> str:
         return self.dimensions[dim.order].display_name
-
-
-def parse_dimension(value: object) -> Dimension:
-    try:
-        return Dimension(value)
-    except ValueError:
-        raise UnknownDimension(f"unknown dimension id: {value!r}") from None
 
 
 @lru_cache(maxsize=1)

@@ -18,9 +18,15 @@ The annotations ``$schema`` and ``title`` are ignored. Any other keyword, a
 node without a type, or a supported keyword in another form raises
 ValueError at compile time, so no schema edit can leave a field unchecked.
 
-jsonschema is on no success path. It is imported only after the compiled
-check rejects a document, to word the error with ``best_match``; a document
-the check rejects is never accepted, even if jsonschema finds no error.
+A compiled node accepts its value by returning, and rejects it by raising
+the first fault it finds: a reason, and the JSON path from the document's root.
+The same closures that decide a document word its rejection, as
+``<what> $<path>: <reason>``, in jsonschema's wording for each keyword. The
+first fault is the first in document order: object keys in the document's
+order, array items by index; within one node the type comes first, then
+``required``, then the other keywords. jsonschema is not imported at run time.
+The tests use it as the oracle: the compiled check accepts exactly what it
+accepts, and a rejection's path and reason are those of one of its errors.
 
 The published schemas themselves, the documents ``appraise schemas``
 prints, are unchanged by the compiler: it reads them and never rewrites them.
@@ -218,11 +224,27 @@ _KEYWORDS = frozenset({
 })
 
 
-def compile_schema(schema: dict) -> Callable[[object], bool]:
-    """A predicate that is true exactly when ``schema`` accepts its argument.
+class _Fault(Exception):
+    """The first fault of a rejected value: why, and the keys from the value up to the root."""
+
+    def __init__(self, reason: str) -> None:
+        self.reason, self.keys = reason, []
+
+    def json_path(self) -> str:
+        """The path as jsonschema words it: ``$``, then ``[index]``, ``.name`` or ``['other']`` per key."""
+        return "$" + "".join(
+            f"[{key}]" if isinstance(key, int) else f".{key}" if re.match("^[a-zA-Z][a-zA-Z0-9_]*$", key)
+            else "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']"
+            for key in reversed(self.keys)
+        )
+
+
+def compile_schema(schema: dict) -> Callable[[object], None]:
+    """A check that returns when ``schema`` accepts its argument and raises its first fault otherwise.
 
     Each node becomes one closure that tests its type and its own keywords
-    together; a list of types is the union of one closure per type.
+    together; a list of types, which takes no other keyword, is the union of
+    one closure per type.
     """
     if not isinstance(schema, dict) or "type" not in schema:
         raise ValueError(f"a schema node is an object with a type, not {schema!r}")
@@ -232,76 +254,117 @@ def compile_schema(schema: dict) -> Callable[[object], bool]:
     enum = schema.get("enum", ())
     if "enum" in schema and not (schema["type"] == "string" and all(map(isinstance, enum, repeat(str)))):
         unsupported.append("enum other than of strings, with type string")
+    names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+    if len(names) > 1 and schema.keys() - {"$schema", "title", "type"}:
+        unsupported.append("keywords beside a list of types")
     if unsupported:
         raise ValueError(f"unsupported schema keywords: {', '.join(unsupported)}")
-    if isinstance(schema["type"], str):
-        return _compile_node(schema["type"], schema)
-    branches = [_compile_node(name, schema) for name in schema["type"]]
-    return lambda value: any(branch(value) for branch in branches)
+    wrong_type = "is not of type " + ", ".join(map(repr, names))
+    if len(names) == 1:
+        return _compile_node(names[0], schema, wrong_type)
+    branches = [compile_schema({"type": name}) for name in names]
+
+    def check_union(value) -> None:
+        for check in branches:
+            try:
+                return check(value)
+            except _Fault:
+                pass
+        raise _Fault(f"{value!r} {wrong_type}")
+
+    return check_union
 
 
-def _compile_node(name: str, schema: dict) -> Callable[[object], bool]:
+def _compile_node(name: str, schema: dict, wrong_type: str) -> Callable[[object], None]:
     """The check of ``schema``'s keywords for an instance of the type ``name``."""
     get = schema.get
     if name == "object":
         check_property = {key: compile_schema(sub) for key, sub in get("properties", {}).items()}.get
-        required, closed = frozenset(get("required", ())), "additionalProperties" in schema
+        required, closed = get("required", ()), "additionalProperties" in schema
+        required_keys = frozenset(required)
 
-        def check_object(value) -> bool:
-            if not isinstance(value, dict) or not required <= value.keys():
-                return False
+        def check_object(value) -> None:
+            if not isinstance(value, dict):
+                raise _Fault(f"{value!r} {wrong_type}")
+            if not required_keys <= value.keys():
+                missing = next(key for key in required if key not in value)
+                raise _Fault(f"{missing!r} is a required property")
             for key, item in value.items():
                 check = check_property(key)
                 if check is None:
                     if closed:
-                        return False
-                elif not check(item):
-                    return False
-            return True
+                        extras = sorted(extra for extra in value if check_property(extra) is None)
+                        listed = f"{', '.join(map(repr, extras))} {'was' if len(extras) == 1 else 'were'}"
+                        raise _Fault(f"Additional properties are not allowed ({listed} unexpected)")
+                else:
+                    try:
+                        check(item)
+                    except _Fault as fault:
+                        fault.keys.append(key)
+                        raise
 
         return check_object
     if name == "array":
-        if "items" not in schema:
-            return lambda value: isinstance(value, list)
-        if schema["items"] == {"type": "string"}:  # the common case, without a call per item
-            return lambda value: isinstance(value, list) and all(map(isinstance, value, repeat(str)))
-        check_item = compile_schema(schema["items"])
-        return lambda value: isinstance(value, list) and all(map(check_item, value))
+        check_item = compile_schema(schema["items"]) if "items" in schema else lambda value: None
+        strings = get("items") == {"type": "string"}
+
+        def check_array(value) -> None:
+            if not isinstance(value, list):
+                raise _Fault(f"{value!r} {wrong_type}")
+            if strings and all(map(isinstance, value, repeat(str))):  # without a call per item
+                return
+            for index, item in enumerate(value):
+                try:
+                    check_item(item)
+                except _Fault as fault:
+                    fault.keys.append(index)
+                    raise
+
+        return check_array
     if name == "string":
-        min_length = get("minLength", 0)
-        if "pattern" not in schema and "enum" not in schema:
-            return lambda value: isinstance(value, str) and len(value) >= min_length
-        search = re.compile(get("pattern", "")).search
-        enum = frozenset(get("enum", ())) if "enum" in schema else None
-        return lambda value: (
-            isinstance(value, str) and len(value) >= min_length
-            and search(value) is not None and (enum is None or value in enum)
-        )
+        min_length, pattern, enum = get("minLength", 0), get("pattern"), get("enum")
+        search, members = re.compile(pattern or "").search, frozenset(enum or ())
+
+        def check_string(value) -> None:
+            if not isinstance(value, str):
+                raise _Fault(f"{value!r} {wrong_type}")
+            if len(value) < min_length:
+                raise _Fault(f"{value!r} {'should be non-empty' if min_length == 1 else 'is too short'}")
+            if pattern is not None and search(value) is None:
+                raise _Fault(f"{value!r} does not match {pattern!r}")
+            if enum is not None and value not in members:
+                raise _Fault(f"{value!r} is not one of {enum!r}")
+
+        return check_string
     if name == "integer":
         low, high = get("minimum", float("-inf")), get("maximum", float("inf"))
 
-        def check_integer(value) -> bool:
-            if type(value) is int:  # the common case, with one test
-                return low <= value <= high
-            if isinstance(value, float):
-                return value.is_integer() and low <= value <= high
-            return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+        def check_integer(value) -> None:
+            if type(value) is not int and (  # one test in the common case
+                not value.is_integer() if isinstance(value, float)
+                else isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise _Fault(f"{value!r} {wrong_type}")
+            if value < low:
+                raise _Fault(f"{value!r} is less than the minimum of {low!r}")
+            if value > high:
+                raise _Fault(f"{value!r} is greater than the maximum of {high!r}")
 
         return check_integer
-    if name == "boolean":
-        return lambda value: isinstance(value, bool)
-    if name == "null":
-        return lambda value: value is None
+    if name == "boolean" or name == "null":
+
+        def check_scalar(value) -> None:
+            if not (isinstance(value, bool) if name == "boolean" else value is None):
+                raise _Fault(f"{value!r} {wrong_type}")
+
+        return check_scalar
     raise ValueError(f"unsupported schema type {name!r}")
 
 
-# The wording of a rejection that jsonschema finds no error in.
-NOT_ACCEPTED = "not accepted by its schema"
-
-_compiled: dict[int, tuple[dict, Callable[[object], bool]]] = {}
+_compiled: dict[int, tuple[dict, Callable[[object], None]]] = {}
 
 
-def checker(schema: dict) -> Callable[[object], bool]:
+def checker(schema: dict) -> Callable[[object], None]:
     """``compile_schema(schema)``, compiled on first use and kept for the process."""
     entry = _compiled.get(id(schema))
     if entry is None:  # the schema is kept with its check, so its id is never reused
@@ -329,18 +392,12 @@ def read_json(path: str | Path, what: str, loads=json.loads):
 
 
 def validate(doc, schema: dict, what: str):
-    """Return ``doc`` if ``schema`` accepts it, else raise ConfigError naming the JSON path.
+    """Return ``doc`` if ``schema`` accepts it, else raise ConfigError naming the first fault.
 
     For example: ``config $.top_k: 9 is greater than the maximum of 6``.
-    The compiled check decides; jsonschema only words a rejection, with a
-    validator built without checking the schema against its metaschema.
     """
-    if checker(schema)(doc):
-        return doc
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
-
-    error = best_match(Draft202012Validator(schema).iter_errors(doc))
-    if error is None:
-        raise ConfigError(f"{what} $: {NOT_ACCEPTED}")
-    raise ConfigError(f"{what} {error.json_path}: {error.message}")
+    try:
+        checker(schema)(doc)
+    except _Fault as fault:
+        raise ConfigError(f"{what} {fault.json_path()}: {fault.reason}") from None
+    return doc

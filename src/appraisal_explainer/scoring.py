@@ -375,20 +375,6 @@ class _Situation:
         return (0.0, violations) if violations else self.satisfied
 
 
-def score_dimension(
-    candidate: Candidate,
-    dim: Dimension,
-    context: UnifiedContext,
-    lexicons: Lexicons,
-) -> tuple[float, tuple[str, ...]]:
-    """Score ``candidate`` on one dimension; returns (score in [0,1], evidence).
-
-    Read off the candidate's appraisal vector, so it always agrees with it.
-    """
-    vector = appraisal_vector(candidate, context, lexicons)
-    return vector.scores[dim], vector.evidence[dim]
-
-
 _PREDICTABILITY, _GOAL, _VALENCE, _URGENCY, _AGENCY, _NORMATIVE = DIMENSIONS
 # Hot-loop records are built with tuple.__new__, which skips the generated __new__: 250 against 590 ns.
 _new = tuple.__new__

@@ -452,9 +452,12 @@ def test_schemas_single(capsys):
 
 
 def test_schemas_unknown_name(capsys):
-    code, _, err = _run(capsys, ["schemas", "nope"])
-    assert code == 2
-    assert "available" in err
+    code, out, err = _run(capsys, ["schemas", "nope"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown schema 'nope'; available: candidates, comparison_output, config, fixture, "
+        "lexicons, plan_output, profile, prompts, ranking_output, registry, salience_output\n"
+    )
 
 
 def test_bundled_inputs_validate_against_schemas():
@@ -496,6 +499,16 @@ def test_config_file_flow(capsys, fixture_files, tmp_path):
         code, out, err = _run(capsys, ["salience", "--config", str(config), "--query", query])
         assert code == 0, err
         assert len(json.loads(out)["dominant"]) == 2
+
+
+def test_empty_config_path_is_not_given(capsys, tmp_path):
+    # Path("") is the working directory, which exists; an empty flag is not given either.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"paths": {"registry": ""}}))
+    code, _, err = _run(capsys, ["scenario", "alex", "--config", str(config), "--out", str(tmp_path)])
+    assert (code, err) == (0, "")
+    golden = (GOLDEN_DIR / "alex_explanation.txt").read_bytes()
+    assert (tmp_path / "explanation.txt").read_bytes() == golden
 
 
 def test_config_sets_every_schema_key(tmp_path):
@@ -570,40 +583,41 @@ def test_malformed_override_is_an_input_error(capsys, fixture_files, tmp_path, f
     assert path in err
 
 
-# Exit code and stderr of each malformed document, recorded by running
-# `rank` on the source from before the stdlib record checks replaced
-# jsonschema on the loaders' success path. <F> stands for the file's path.
+# Exit code and stderr of each malformed document. Each reason is the one
+# recorded by running `rank` on the source from before the stdlib record
+# checks replaced jsonschema on the loaders' success path, except that
+# "two-faults" now names its first fault in document order, the empty id.
 _REJECTED = [
     ("candidates", '{"id": "a", "name": "A", "prep_time_minutes": 5}',
-     "{'id': 'a', 'name': 'A', 'prep_time_minutes': 5} is not of type 'array'"),
+     "$: {'id': 'a', 'name': 'A', 'prep_time_minutes': 5} is not of type 'array'"),
     ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": true}]',
-     "True is not of type 'integer'"),
+     "$[0].prep_time_minutes: True is not of type 'integer'"),
     ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 0}]',
-     "0 is less than the minimum of 1"),
+     "$[0].prep_time_minutes: 0 is less than the minimum of 1"),
     ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 2.5}]',
-     "2.5 is not of type 'integer'"),
+     "$[0].prep_time_minutes: 2.5 is not of type 'integer'"),
     ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": NaN}]',
-     "nan is not of type 'integer'"),
+     "$[0].prep_time_minutes: nan is not of type 'integer'"),
     ("candidates", '[{"id": "", "name": "A", "prep_time_minutes": 5}]',
-     "'' should be non-empty"),
+     "$[0].id: '' should be non-empty"),
     ("candidates", '[{"id": "a", "prep_time_minutes": 5}]',
-     "'name' is a required property"),
+     "$[0]: 'name' is a required property"),
     ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 5, "price": 3}]',
-     "Additional properties are not allowed ('price' was unexpected)"),
+     "$[0]: Additional properties are not allowed ('price' was unexpected)"),
     ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 5, "tags": "quick"}]',
-     "'quick' is not of type 'array'"),
+     "$[0].tags: 'quick' is not of type 'array'"),
     ("candidates", '[{"id": "a", "name": "A", "prep_time_minutes": 5}, '
      '{"id": "b", "name": "B", "prep_time_minutes": 5, "ingredients": ["rice", 1]}]',
-     "1 is not of type 'string'"),
+     "$[1].ingredients[1]: 1 is not of type 'string'"),
     ("candidates", '[{"id": "", "name": "A", "prep_time_minutes": 0, "tags": "x"}]',
-     "'x' is not of type 'array'"),
-    ("profile", '["u"]', "['u'] is not of type 'object'"),
-    ("profile", '{"user_id": ""}', "'' should be non-empty"),
-    ("profile", '{"goals": []}', "'user_id' is a required property"),
+     "$[0].id: '' should be non-empty"),
+    ("profile", '["u"]', "$: ['u'] is not of type 'object'"),
+    ("profile", '{"user_id": ""}', "$.user_id: '' should be non-empty"),
+    ("profile", '{"goals": []}', "$: 'user_id' is a required property"),
     ("profile", '{"user_id": "u", "age": 30}',
-     "Additional properties are not allowed ('age' was unexpected)"),
+     "$: Additional properties are not allowed ('age' was unexpected)"),
     ("profile", '{"user_id": "u", "familiar_items": ["pasta", true]}',
-     "True is not of type 'string'"),
+     "$.familiar_items[1]: True is not of type 'string'"),
 ]
 
 
@@ -630,7 +644,7 @@ def test_rejected_document_error_is_unchanged(capsys, fixture_files, tmp_path, w
         ],
     )
     assert (code, out) == (2, "")
-    assert err == f"error: {what} file {bad} failed validation: {message}\n"
+    assert err == f"error: {what} file {bad} {message}\n"
 
 
 def test_whitespace_only_candidate_name_is_rejected(capsys, fixture_files, tmp_path):
@@ -642,7 +656,7 @@ def test_whitespace_only_candidate_name_is_rejected(capsys, fixture_files, tmp_p
         capsys, ["explain", "--profile", profile, "--query", query, "--candidates", str(bad)]
     )
     assert (code, out) == (2, "")
-    assert err == f"error: candidates file {bad} failed validation: '   ' does not match '\\\\S'\n"
+    assert err == f"error: candidates file {bad} $[0].name: '   ' does not match '\\\\S'\n"
 
 
 @pytest.mark.parametrize("flag", ["--candidates", "--profile", "--config"])

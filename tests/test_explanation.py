@@ -8,6 +8,7 @@ from appraisal_explainer import (
     Query,
     SalienceProfile,
     UserProfile,
+    appraisal_vector,
     build_plan,
     build_prompt,
     build_unified_context,
@@ -16,7 +17,6 @@ from appraisal_explainer import (
     rank_candidates,
     realize_baseline_template,
     realize_template,
-    score_dimension,
 )
 from appraisal_explainer import scoring
 from appraisal_explainer.errors import InvalidPromptRequest, NothingToExplain
@@ -225,7 +225,7 @@ def test_an_amount_of_minutes_agrees_with_its_number(minutes, amount, registry, 
         UserProfile(user_id="u"), Query(f"dinner in {minutes} minutes"), registry, lexicons
     )
     dish = Candidate(id="a", name="Rice", description="Rice.", prep_time_minutes=minutes)
-    _, evidence = score_dimension(dish, Dimension.URGENCY, context, lexicons)
+    evidence = appraisal_vector(dish, context, lexicons).evidence[Dimension.URGENCY]
     assert evidence == (f"prep time {minutes} min is within the {amount} available",)
     assert summarize_context(context) == f"time limit: {amount}"
     assert realize_baseline_template(context, [dish]).endswith(f"It is ready in about {amount}.")

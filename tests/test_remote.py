@@ -247,41 +247,52 @@ def test_llm_auth_header_sent(sarah_bundle):
     assert headers.get("Authorization") == "Bearer secret-key"
 
 
-# Each a CLI argv; "explain" reads one document of each of the six input formats.
-_SUCCESS_RUNS = {
-    "import": None,
-    "scenario": ["scenario", "alex", "--out", "{tmp}/out"],
-    "explain": [
+# Each a CLI argv and its exit code; "explain" reads one document of each of
+# the six input formats, and the "rejected" runs reject one.
+_RUNS = {
+    "import": (None, 0),
+    "scenario": (["scenario", "alex", "--out", "{tmp}/out"], 0),
+    "explain": ([
         "explain", "--profile", "{profile}", "--candidates", "{candidates}", "--query", "{query}",
         "--config", "{tmp}/config.json", "--registry", "{tmp}/registry.json",
         "--lexicons", "{tmp}/lexicons.json", "--prompts", "{tmp}/prompts.json",
-    ],
+    ], 0),
+    "rejected-candidates": ([
+        "rank", "--profile", "{profile}", "--candidates", "{tmp}/bad_candidates.json", "--query", "{query}",
+    ], 2),
+    "rejected-registry": ([
+        "explain", "--profile", "{profile}", "--candidates", "{candidates}", "--query", "{query}",
+        "--registry", "{tmp}/bad_registry.json",
+    ], 2),
 }
 
 
-@pytest.mark.parametrize("run", _SUCCESS_RUNS)
+@pytest.mark.parametrize("run", _RUNS)
 def test_cli_leaves_jsonschema_and_requests_unloaded(fixture_files, tmp_path, run):
     # Only the two remote clients need requests, and they import it when
-    # called; jsonschema only words the error of a rejected document. The
+    # called; the engine checks and words a rejected document itself. The
     # engine defines its records without dataclasses: importing it loads
     # inspect, ast, dis and tokenize, and decorating the records took about a
     # fifth of a fresh ``scenario`` process.
     profile, query, candidates = fixture_files("alex")
-    overrides = {
+    documents = {
         "config": {"top_k": 2, "paths": {"registry": None}},
         "registry": {"dimensions": [{"id": "Urgency", "display_name": "Time pressure"}]},
         "lexicons": {"sentiment": {"positive": ["tasty"]}},
         "prompts": {"section_labels": {"profile": "About you"}},
+        "bad_candidates": [{"id": "a", "name": "A", "prep_time_minutes": 0}],
+        "bad_registry": {"dimensions": [{"id": "Curiosity"}]},
     }
-    for name, doc in overrides.items():
+    for name, doc in documents.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    args, code = _RUNS[run]
     argv = [
         arg.format(tmp=tmp_path, profile=profile, candidates=candidates, query=query)
-        for arg in _SUCCESS_RUNS[run] or ()
+        for arg in args or ()
     ]
     probe = (
         "import sys, appraisal_explainer.cli\n"
-        "assert not sys.argv[1:] or appraisal_explainer.cli.main(sys.argv[1:]) == 0\n"
+        f"assert not sys.argv[1:] or appraisal_explainer.cli.main(sys.argv[1:]) == {code}\n"
         "print(sorted({'dataclasses', 'inspect', 'jsonschema', 'requests'} & sys.modules.keys()))"
     )
     done = subprocess.run(

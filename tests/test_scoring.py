@@ -28,7 +28,6 @@ from appraisal_explainer import (
     rank_candidates,
     rank_vectors,
     realize_template,
-    score_dimension,
     tokenize,
 )
 from appraisal_explainer import scoring
@@ -67,7 +66,8 @@ def test_urgency_formula_example(registry, lexicons):
     candidate = Candidate(
         id="c", name="Bowl", description="a quick dinner", prep_time_minutes=12
     )
-    score, evidence = score_dimension(candidate, Dimension.URGENCY, context, lexicons)
+    vector = appraisal_vector(candidate, context, lexicons)
+    score, evidence = vector.scores[Dimension.URGENCY], vector.evidence[Dimension.URGENCY]
     assert score == pytest.approx(0.7 * 1.0 + 0.3 * 0.5)
     assert any("within the 15 minutes" in hint for hint in evidence)
     assert any("quick" in hint for hint in evidence)
@@ -77,7 +77,8 @@ def test_urgency_overshoot_clamps(registry, lexicons):
     profile = UserProfile(user_id="u")
     context = _context(registry, lexicons, profile, "dinner in 15 minutes")
     candidate = Candidate(id="c", name="Roast", prep_time_minutes=180)
-    score, evidence = score_dimension(candidate, Dimension.URGENCY, context, lexicons)
+    vector = appraisal_vector(candidate, context, lexicons)
+    score, evidence = vector.scores[Dimension.URGENCY], vector.evidence[Dimension.URGENCY]
     assert score == 0.0
     assert any("exceeds the 15 minutes" in hint for hint in evidence)
 
@@ -86,7 +87,8 @@ def test_goal_relevance_half_match(registry, lexicons):
     profile = UserProfile(user_id="u", goals=("healthy", "nutritious"))
     context = _context(registry, lexicons, profile, "dinner")
     candidate = Candidate(id="c", name="Salad", description="a healthy green salad")
-    score, evidence = score_dimension(candidate, Dimension.GOAL_RELEVANCE, context, lexicons)
+    vector = appraisal_vector(candidate, context, lexicons)
+    score, evidence = vector.scores[Dimension.GOAL_RELEVANCE], vector.evidence[Dimension.GOAL_RELEVANCE]
     assert score == 0.5
     assert evidence == ("matches your goals: healthy",)
 
@@ -98,7 +100,8 @@ def test_goal_relevance_matches_multi_word_goals(registry, lexicons):
     profile = UserProfile(user_id="u", goals=goals)
     context = _context(registry, lexicons, profile, "dinner")
     candidate = Candidate(id="c", name="High Protein Bowl", tags=("protein", "low carb"))
-    score, evidence = score_dimension(candidate, Dimension.GOAL_RELEVANCE, context, lexicons)
+    vector = appraisal_vector(candidate, context, lexicons)
+    score, evidence = vector.scores[Dimension.GOAL_RELEVANCE], vector.evidence[Dimension.GOAL_RELEVANCE]
     assert score == 0.5
     assert evidence == ("matches your goals: high protein, low-carb",)
 
@@ -107,7 +110,8 @@ def test_valence_neutral_description(registry, lexicons):
     profile = UserProfile(user_id="u")
     context = _context(registry, lexicons, profile, "dinner")
     candidate = Candidate(id="c", name="Plain", description="some food on a plate")
-    score, evidence = score_dimension(candidate, Dimension.VALENCE, context, lexicons)
+    vector = appraisal_vector(candidate, context, lexicons)
+    score, evidence = vector.scores[Dimension.VALENCE], vector.evidence[Dimension.VALENCE]
     assert score == 0.5
     assert evidence == ("description sentiment: neutral (no lexicon matches)",)
 
@@ -116,7 +120,8 @@ def test_valence_negative_description(registry, lexicons):
     profile = UserProfile(user_id="u")
     context = _context(registry, lexicons, profile, "dinner")
     candidate = Candidate(id="c", name="Sad", description="bland, soggy and boring")
-    score, evidence = score_dimension(candidate, Dimension.VALENCE, context, lexicons)
+    vector = appraisal_vector(candidate, context, lexicons)
+    score, evidence = vector.scores[Dimension.VALENCE], vector.evidence[Dimension.VALENCE]
     assert score == 0.0
     assert "3 negative" in evidence[0]
 
@@ -125,9 +130,9 @@ def test_predictability_jaccard(registry, lexicons):
     profile = UserProfile(user_id="u", familiar_items=("rice", "eggs"))
     context = _context(registry, lexicons, profile, "dinner")
     candidate = Candidate(id="c", name="Fried rice", ingredients=("rice", "peas"), tags=("wok",))
-    score, evidence = score_dimension(
-        candidate, Dimension.PREDICTABILITY_SURPRISE, context, lexicons
-    )
+    vector = appraisal_vector(candidate, context, lexicons)
+    score = vector.scores[Dimension.PREDICTABILITY_SURPRISE]
+    evidence = vector.evidence[Dimension.PREDICTABILITY_SURPRISE]
     # shared {rice}; union {rice, peas, wok, eggs}
     assert score == pytest.approx(1 / 4)
     assert evidence == ("shares familiar items: rice",)
@@ -139,7 +144,8 @@ def test_agency_saturation(registry, lexicons):
     candidate = Candidate(
         id="c", name="Bar", tags=("customizable",), customization_options=4
     )
-    score, evidence = score_dimension(candidate, Dimension.AGENCY, context, lexicons)
+    vector = appraisal_vector(candidate, context, lexicons)
+    score, evidence = vector.scores[Dimension.AGENCY], vector.evidence[Dimension.AGENCY]
     assert score == 1.0
     assert "4 documented customization options" in evidence[0]
 
@@ -153,9 +159,9 @@ def test_normative_violation_names_constraint(registry, lexicons):
         ingredients=("chicken", "peanuts"),
         tags=("grilled",),
     )
-    score, evidence = score_dimension(
-        candidate, Dimension.NORMATIVE_SIGNIFICANCE, context, lexicons
-    )
+    vector = appraisal_vector(candidate, context, lexicons)
+    score = vector.scores[Dimension.NORMATIVE_SIGNIFICANCE]
+    evidence = vector.evidence[Dimension.NORMATIVE_SIGNIFICANCE]
     assert score == 0.0
     assert "violates 'vegetarian': not tagged vegetarian" in evidence
     assert "violates 'no-peanuts': contains peanuts" in evidence
@@ -165,9 +171,9 @@ def test_normative_no_constraints_is_one(registry, lexicons):
     profile = UserProfile(user_id="u")
     context = _context(registry, lexicons, profile, "dinner")
     candidate = Candidate(id="c", name="Anything")
-    score, evidence = score_dimension(
-        candidate, Dimension.NORMATIVE_SIGNIFICANCE, context, lexicons
-    )
+    vector = appraisal_vector(candidate, context, lexicons)
+    score = vector.scores[Dimension.NORMATIVE_SIGNIFICANCE]
+    evidence = vector.evidence[Dimension.NORMATIVE_SIGNIFICANCE]
     assert score == 1.0
     assert evidence == ("no dietary constraints apply",)
 
@@ -377,7 +383,8 @@ def test_all_scores_in_unit_interval(candidates, data, registry, lexicons):
     context = build_unified_context(profile, Query(text=query), registry, lexicons)
     for candidate in candidates:
         for dim in DIMS:
-            score, evidence = score_dimension(candidate, dim, context, lexicons)
+            vector = appraisal_vector(candidate, context, lexicons)
+            score, evidence = vector.scores[dim], vector.evidence[dim]
             assert 0.0 <= score <= 1.0
             if score > 0.0:
                 assert evidence, f"nonzero {dim} score without evidence"
@@ -920,7 +927,8 @@ def test_compiled_situational_checks_score_like_the_per_candidate_scorers(
     context = _context(registry, lexicons, profile, query)
     for candidate in candidates:
         for dim, reference in REFERENCE_SCORERS.items():
-            assert score_dimension(candidate, dim, context, lexicons) == reference(candidate, context, lexicons)
+            vector = appraisal_vector(candidate, context, lexicons)
+            assert (vector.scores[dim], vector.evidence[dim]) == reference(candidate, context, lexicons)
 
 
 def test_alternating_contexts_keep_their_own_compiled_checks(registry, lexicons):
