@@ -21,7 +21,7 @@ from .context import (
     UserProfile,
     build_unified_context,
     parse_time_constraint,
-    tally_sentiment,
+    tally_sentiment_tokens,
     tokenize,
 )
 from .explanation import (
@@ -101,6 +101,6 @@ __all__ = [
     "realize_llm",
     "realize_template",
     "remote_entailment_salience",
-    "tally_sentiment",
+    "tally_sentiment_tokens",
     "tokenize",
 ]

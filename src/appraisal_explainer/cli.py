@@ -7,10 +7,11 @@ All commands are byte-deterministic under the lexical scorer and template
 realizer given identical inputs and configuration.
 
 JSON output is indented by two spaces and ends with a newline. A ranking, on
-stdout and in ``ranking.json``, is written straight from the ``RankedList``
-by ``serialize.write_ranking_json``; text output renders its dict view,
-``ranking_to_dict``. Every other JSON document goes through ``_dump_json``.
-Both write block by block, so no document is held as one string.
+stdout and in ``ranking.json``, is streamed block by block straight from the
+``RankedList`` by ``serialize.write_ranking_json``; text output renders its
+dict view, ``ranking_to_dict``. Every other JSON document is small, and
+``_dump_json`` writes it in one call. Every command writes its ``--out``
+artifacts through ``write_artifacts``.
 
 ``main`` runs a command with the cyclic garbage collector's automatic
 collections off, and restores the collector's prior state on every exit, so
@@ -41,7 +42,6 @@ import gc
 import json
 import os
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .config import FORMAT_JSON, RunConfig, load_candidates, load_profile, resolve_config
@@ -86,7 +86,7 @@ def _common_flags() -> argparse.ArgumentParser:
         "--fallback",
         action="store_true",
         default=None,
-        help="degrade to the lexical scorer / template realizer when a remote service is unreachable",
+        help="degrade to the lexical scorer / template realizer when a remote service fails",
     )
     common.add_argument("--out", help="directory for run artifacts")
     common.add_argument("--format", choices=[FORMAT_JSON, "text"], help="output format")
@@ -122,15 +122,8 @@ def _require(value, flag: str):
 
 
 def _dump_json(payload, stream) -> None:
-    """Write ``payload`` as indented JSON and a newline, block by block.
-
-    The document is never held as one string; each write joins up to 65,536
-    encoder chunks, so an unbuffered stream still sees few write calls.
-    """
-    chunks = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(payload)
-    while block := "".join(islice(chunks, 65536)):
-        stream.write(block)
-    stream.write("\n")
+    """Write the small document ``payload`` as indented JSON and a newline, in one call."""
+    stream.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 def _out_dir(cfg: RunConfig, default: Path | None = None) -> Path | None:
@@ -149,9 +142,10 @@ def _write_json(path: Path, payload, dump=_dump_json) -> None:
 
 
 def write_artifacts(out: Path, result: PipelineResult, runlog: RunLog) -> None:
-    """Write each result part the pipeline produced, then the run log, into ``out``."""
+    """Write each result part that is not None into ``out``, and the run log if it has records."""
     _write_json(out / "salience.json", salience_to_dict(result.salience))
-    _write_json(out / "ranking.json", result.ranked, write_ranking_json)
+    if result.ranked is not None:
+        _write_json(out / "ranking.json", result.ranked, write_ranking_json)
     if result.plan is not None:
         _write_json(out / "plan.json", plan_to_dict(result.plan))
     if result.explanation is not None:
@@ -160,7 +154,8 @@ def write_artifacts(out: Path, result: PipelineResult, runlog: RunLog) -> None:
         (out / "baseline.txt").write_text(result.baseline + "\n", "utf-8")
     if result.comparison is not None:
         _write_json(out / "comparison.json", comparison_to_dict(result.comparison))
-    runlog.write(out / "runlog.jsonl")
+    if runlog.records:
+        runlog.write(out / "runlog.jsonl")
 
 
 def _render_salience_text(payload: dict) -> str:
@@ -183,8 +178,6 @@ def _render_ranking_text(payload: dict) -> str:
         lines.append("excluded:")
         for exclusion in payload["excluded"]:
             lines.append(f"  {exclusion['candidate_id']}: {exclusion['reason']}")
-    if not lines:
-        lines.append("(no entries)")
     return "\n".join(lines)
 
 
@@ -204,12 +197,11 @@ def _render_comparison_text(payload: dict) -> str:
 def cmd_salience(args: argparse.Namespace, cfg: RunConfig) -> int:
     profile = load_profile(_require(cfg.profile_path, "--profile"))
     query = Query(text=_require(args.query, "--query"))
-    data = load_engine_data(cfg)
-    _, salience = salience_stage(profile, query, data, cfg)
-    payload = salience_to_dict(salience)
+    context, salience = salience_stage(profile, query, load_engine_data(cfg), cfg)
     out = _out_dir(cfg)
     if out is not None:
-        _write_json(out / "salience.json", payload)
+        write_artifacts(out, PipelineResult(context, salience), RunLog())
+    payload = salience_to_dict(salience)
     if cfg.format == FORMAT_JSON:
         _dump_json(payload, sys.stdout)
     else:
@@ -228,13 +220,12 @@ def _run_inputs(args: argparse.Namespace, cfg: RunConfig, **wants) -> tuple[Pipe
 
 
 def cmd_rank(args: argparse.Namespace, cfg: RunConfig) -> int:
-    result, _ = _run_inputs(
+    result, runlog = _run_inputs(
         args, cfg, want_appraisal=False, want_baseline=False, want_compare=False
     )
     out = _out_dir(cfg)
     if out is not None:
-        _write_json(out / "salience.json", salience_to_dict(result.salience))
-        _write_json(out / "ranking.json", result.ranked, write_ranking_json)
+        write_artifacts(out, result, runlog)
     if cfg.format == FORMAT_JSON:
         write_ranking_json(result.ranked, sys.stdout)
     else:

@@ -59,7 +59,8 @@ def resolve_config(doc, flags: dict, out_dir: str | None = None) -> RunConfig:
     ``flags`` maps config keys (the names of the CLI flags) to values; a
     setting of None or an empty path, in the flags or the document, is not
     given. A document or paths value that is not an object is left for the
-    schema to reject. Every path given must exist. A whole-number float
+    schema to reject. Every path given must exist and not be a directory; a
+    pipe, such as a shell's ``<(...)``, is read like a file. A whole-number float
     ``top_k`` (JSON Schema counts 2.0 as an integer) becomes an int.
     """
     given = {key: flags[key] for key in SETTING_KEYS if flags.get(key) is not None}
@@ -71,6 +72,8 @@ def resolve_config(doc, flags: dict, out_dir: str | None = None) -> RunConfig:
     for key, path in paths.items():
         if path is not None and not Path(path).exists():
             raise ConfigError(f"{key} path does not exist: {path}")
+        if path is not None and Path(path).is_dir():
+            raise ConfigError(f"{key} path is not a file: {path}")
     settings = {key: value for key, value in doc.items() if key in SETTING_KEYS}
     if "top_k" in settings:
         settings["top_k"] = int(settings["top_k"])

@@ -119,11 +119,6 @@ class SentimentTally(NamedTuple):
         return self.positive_hits + self.negative_hits
 
 
-def tally_sentiment(text: str, lexicons: Lexicons) -> SentimentTally:
-    """Count positive/negative lexicon words in ``text``, once per occurrence."""
-    return tally_sentiment_tokens(tokenize(text), lexicons)
-
-
 def tally_sentiment_tokens(tokens, lexicons: Lexicons) -> SentimentTally:
     """Count positive/negative lexicon words among ``tokens``, in order."""
     positive: list[str] = []
@@ -202,15 +197,13 @@ class UserProfile(Immutable):
 class Query(Immutable):
     """A single natural-language request."""
 
-    def __init__(self, text: str, timestamp: str | None = None):
+    def __init__(self, text: str):
         if not text or not text.strip():
             raise EmptyQuery("query text is empty")
-        fields = self.__dict__
-        fields["text"] = text
-        fields["timestamp"] = timestamp
+        self.__dict__["text"] = text
 
     def _key(self) -> tuple:
-        return self.text, self.timestamp
+        return (self.text,)
 
 
 class SourceHits(NamedTuple):
@@ -230,7 +223,7 @@ class UnifiedContext(Immutable):
         composite_text: str,
         time_constraint_minutes: int | None,
         sentiment: SentimentTally,
-        keyword_hits: dict[Dimension, SourceHits] | None = None,
+        keyword_hits: dict[Dimension, SourceHits],
     ):
         fields = self.__dict__
         fields["profile"] = profile
@@ -238,7 +231,7 @@ class UnifiedContext(Immutable):
         fields["composite_text"] = composite_text
         fields["time_constraint_minutes"] = time_constraint_minutes
         fields["sentiment"] = sentiment
-        fields["keyword_hits"] = {} if keyword_hits is None else keyword_hits
+        fields["keyword_hits"] = keyword_hits
         # Where scoring keeps this context's compiled situational checks, built
         # on its first appraisal; the context is immutable, so they never go stale.
         fields["_situational"] = None
@@ -298,6 +291,6 @@ def build_unified_context(
         query=query,
         composite_text=_composite_text(profile, query),
         time_constraint_minutes=parse_time_constraint(query.text),
-        sentiment=tally_sentiment(query.text, lexicons),
+        sentiment=tally_sentiment_tokens(query_tokens, lexicons),
         keyword_hits=hits,
     )

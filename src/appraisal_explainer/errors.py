@@ -34,7 +34,7 @@ class ScorerUnavailable(EngineError):
     """The remote entailment scorer could not be reached."""
 
 
-class ProtocolError(EngineError):
+class ProtocolError(ScorerUnavailable):
     """The remote entailment scorer returned a malformed response."""
 
 
@@ -58,5 +58,5 @@ class RealizerUnavailable(EngineError):
     """The remote chat realizer could not be reached."""
 
 
-class EmptyCompletion(EngineError):
+class EmptyCompletion(RealizerUnavailable):
     """The remote chat realizer returned an empty completion."""

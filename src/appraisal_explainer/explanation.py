@@ -9,25 +9,16 @@ request and records the exchange in the run log.
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
 from .context import UnifiedContext, minutes_text
-from .errors import (
-    ConfigError,
-    EmptyCompletion,
-    InputError,
-    InvalidPromptRequest,
-    NothingToExplain,
-)
+from .errors import ConfigError, InputError, InvalidPromptRequest, NothingToExplain
 from .registry import Dimension, Registry
 from .remote import ChatEndpoint, request_chat_completion
-from .runlog import RunLog
+from .runlog import RunLog, utc_timestamp
 from .salience import SalienceProfile
-from .schemas import PROMPTS_SCHEMA, load_document
+from .schemas import PROMPTS_SCHEMA, bundled_text, load_document
 from .scoring import Against, Candidate, Neutral, RankedList
 
 MODE_APPRAISAL = "appraisal"
@@ -76,10 +67,7 @@ def summarize_context(context: UnifiedContext) -> str:
         parts.append("time limit: " + minutes_text(context.time_constraint_minutes))
     query_words: list[str] = []
     for dim in Dimension:
-        hits = context.keyword_hits.get(dim)
-        if hits is None:
-            continue
-        query_words.extend(w for w in hits.query if w not in query_words)
+        query_words.extend(w for w in context.keyword_hits[dim].query if w not in query_words)
     if query_words:
         parts.append("query signals: " + ", ".join(query_words))
     return "; ".join(parts) if parts else "no strong signals detected"
@@ -191,11 +179,6 @@ class PromptTemplates(NamedTuple):
     baseline_instruction: str
 
 
-@lru_cache(maxsize=1)
-def _bundled_prompts() -> str:
-    return resources.files(__package__).joinpath("data/prompts.json").read_text("utf-8")
-
-
 def load_prompt_templates(source: str | Path | dict | None = None) -> PromptTemplates:
     """The bundled prompt templates, with overrides from ``source``.
 
@@ -203,7 +186,7 @@ def load_prompt_templates(source: str | Path | dict | None = None) -> PromptTemp
     texts and section labels it names; everything else keeps the bundled text.
     The appraisal instruction must format with its two placeholders alone.
     """
-    doc = json.loads(_bundled_prompts())
+    doc = json.loads(bundled_text("prompts.json"))
     if source is not None:
         for key, value in load_document(source, "prompts", PROMPTS_SCHEMA).items():
             if key == "section_labels":
@@ -355,11 +338,8 @@ def realize_llm(
 
     The full request/response pair is recorded in the run log.
     """
-    started = datetime.now(timezone.utc).isoformat()
+    started = utc_timestamp()
     text = request_chat_completion(endpoint, bundle.system_instruction, bundle.user_message())
-    finished = datetime.now(timezone.utc).isoformat()
-    if not text.strip():
-        raise EmptyCompletion("chat realizer returned an empty completion")
     if runlog is not None:
         runlog.record(
             mode=bundle.mode,
@@ -367,7 +347,6 @@ def realize_llm(
             response=text,
             prompt=bundle.to_dict(),
             started_at=started,
-            finished_at=finished,
         )
     return text
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
 from typing import NamedTuple
 
 from .context import Query, UserProfile
 from .errors import ConfigError
 from .registry import Dimension
+from .schemas import bundled_text
 from .scoring import Candidate
 
 FIXTURE_NAMES = ("alex", "sarah")
@@ -20,17 +20,13 @@ class ScenarioFixture(NamedTuple):
     query: Query
     candidates: tuple[Candidate, ...]
     expected_dominant: frozenset[Dimension]
-    notes: str
 
 
 def fixture_document(name: str) -> dict:
     """Raw fixture JSON document, as shipped."""
     if name not in FIXTURE_NAMES:
-        raise ConfigError(
-            f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
-        )
-    text = resources.files(__package__).joinpath(f"data/fixtures/{name}.json").read_text("utf-8")
-    return json.loads(text)
+        raise ConfigError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    return json.loads(bundled_text(f"fixtures/{name}.json"))
 
 
 def load_fixture(name: str) -> ScenarioFixture:
@@ -38,8 +34,7 @@ def load_fixture(name: str) -> ScenarioFixture:
     return ScenarioFixture(
         name=doc["name"],
         profile=UserProfile.from_dict(doc["profile"]),
-        query=Query(text=doc["query"]["text"], timestamp=doc["query"].get("timestamp")),
+        query=Query(text=doc["query"]["text"]),
         candidates=tuple(Candidate.from_dict(record) for record in doc["candidates"]),
         expected_dominant=frozenset(map(Dimension, doc["expected_dominant"])),
-        notes=doc["notes"],
     )

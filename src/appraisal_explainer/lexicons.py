@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
 from .registry import Dimension
-from .schemas import LEXICONS_SCHEMA, load_document
+from .schemas import LEXICONS_SCHEMA, bundled_text, load_document
 
 
 class Lexicons(NamedTuple):
@@ -28,11 +26,6 @@ def _normalize(words) -> frozenset[str]:
     return frozenset(word for word in cleaned if word)
 
 
-@lru_cache(maxsize=1)
-def _bundled_doc() -> str:
-    return resources.files(__package__).joinpath("data/lexicons.json").read_text("utf-8")
-
-
 def load_lexicons(source: str | Path | dict | None = None) -> Lexicons:
     """Load the bundled lexicons, with per-key overrides from ``source``.
 
@@ -40,7 +33,7 @@ def load_lexicons(source: str | Path | dict | None = None) -> Lexicons:
     the dimension lists and sentiment lists it names; everything else keeps
     the bundled defaults.
     """
-    doc = json.loads(_bundled_doc())
+    doc = json.loads(bundled_text("lexicons.json"))
     if source is not None:
         override = load_document(source, "lexicons", LEXICONS_SCHEMA)
         for section in ("dimensions", "sentiment"):

@@ -71,17 +71,14 @@ def salience_stage(
 def _realize(mode: str, render, data: EngineData, cfg: RunConfig, runlog: RunLog, **prompt_args) -> str:
     """Realize one text with the configured realizer; ``render`` is its template.
 
-    The llm realizer degrades to the template when unavailable and fallback
+    The llm realizer degrades to the template when it fails and fallback
     is enabled; the run log flags the degraded record and keeps its prompt.
     """
     bundle = None
     if cfg.realizer != "template":
         bundle = build_prompt(mode, templates=data.prompts, **prompt_args)
         try:
-            endpoint = ChatEndpoint.from_env()
-            if endpoint is None:
-                raise RealizerUnavailable("chat endpoint not configured (set APPRAISAL_LLM_URL)")
-            return realize_llm(bundle, endpoint, runlog=runlog)
+            return realize_llm(bundle, ChatEndpoint.from_env(), runlog=runlog)
         except RealizerUnavailable:
             if not cfg.fallback:
                 raise

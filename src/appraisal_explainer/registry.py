@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
-
 
 
 class Dimension(str, Enum):
@@ -57,11 +54,6 @@ class Registry(NamedTuple):
         return self.dimensions[dim.order].display_name
 
 
-@lru_cache(maxsize=1)
-def _bundled_document() -> str:
-    return resources.files(__package__).joinpath("data/registry.json").read_text("utf-8")
-
-
 def load_registry(source: str | Path | dict | None = None) -> Registry:
     """The bundled registry, with per-dimension text overrides from ``source``.
 
@@ -69,11 +61,11 @@ def load_registry(source: str | Path | dict | None = None) -> Registry:
     or canonical statement; a field that is missing or empty keeps the
     bundled value. The document is validated against ``REGISTRY_SCHEMA``.
     """
-    records = {record["id"]: record for record in json.loads(_bundled_document())["dimensions"]}
-    if source is not None:
-        # Imported here because schemas imports Dimension from this module.
-        from .schemas import REGISTRY_SCHEMA, load_document
+    # Imported here because schemas imports Dimension from this module.
+    from .schemas import REGISTRY_SCHEMA, bundled_text, load_document
 
+    records = {record["id"]: record for record in json.loads(bundled_text("registry.json"))["dimensions"]}
+    if source is not None:
         for record in load_document(source, "registry", REGISTRY_SCHEMA).get("dimensions", ()):
             given = {key: value for key, value in record.items() if value}
             records[record["id"]] = {**records[record["id"]], **given}

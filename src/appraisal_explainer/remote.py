@@ -3,6 +3,26 @@
 Both clients are stateless: one blocking request per call, configurable
 timeout, no shared mutable state, so concurrent calls are safe. Each imports
 ``requests`` when it is called, so runs that use no remote service never load it.
+
+Each client checks its whole reply. A failure raises:
+
+================  ====================  =====================
+failure           entailment scorer     chat realizer
+================  ====================  =====================
+not configured    ScorerUnavailable     RealizerUnavailable
+connect           ScorerUnavailable     RealizerUnavailable
+timeout           ScorerUnavailable     RealizerUnavailable
+HTTP 4xx or 5xx   ScorerUnavailable     RealizerUnavailable
+non-JSON          ProtocolError         RealizerUnavailable
+wrong shape       ProtocolError         RealizerUnavailable
+partial coverage  ProtocolError         (none)
+empty completion  (none)                EmptyCompletion
+================  ====================  =====================
+
+``ProtocolError`` is a ``ScorerUnavailable`` and ``EmptyCompletion`` a
+``RealizerUnavailable``, so one rule covers every row: with fallback on, the
+run degrades to the lexical scorer or template realizer and records that it
+did; with fallback off, the command exits 1.
 """
 
 from __future__ import annotations
@@ -10,7 +30,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .errors import ProtocolError, RealizerUnavailable, ScorerUnavailable
+from .errors import EmptyCompletion, ProtocolError, RealizerUnavailable, ScorerUnavailable
 
 NLI_URL_ENV = "APPRAISAL_NLI_URL"
 LLM_URL_ENV = "APPRAISAL_LLM_URL"
@@ -28,10 +48,10 @@ class EntailmentEndpoint(NamedTuple):
     timeout: float = DEFAULT_TIMEOUT_SECONDS
 
     @classmethod
-    def from_env(cls) -> "EntailmentEndpoint | None":
+    def from_env(cls) -> "EntailmentEndpoint":
         url = os.environ.get(NLI_URL_ENV)
         if not url:
-            return None
+            raise ScorerUnavailable(f"entailment endpoint not configured (set {NLI_URL_ENV})")
         return cls(url=url)
 
 
@@ -43,10 +63,10 @@ class ChatEndpoint(NamedTuple):
     timeout: float = DEFAULT_TIMEOUT_SECONDS
 
     @classmethod
-    def from_env(cls) -> "ChatEndpoint | None":
+    def from_env(cls) -> "ChatEndpoint":
         url = os.environ.get(LLM_URL_ENV)
         if not url:
-            return None
+            raise RealizerUnavailable(f"chat endpoint not configured (set {LLM_URL_ENV})")
         return cls(
             url=url,
             model=os.environ.get(LLM_MODEL_ENV, DEFAULT_LLM_MODEL),
@@ -62,7 +82,8 @@ def request_entailment_scores(
     """POST the premise/hypotheses payload, return scores keyed by dimension id.
 
     Scores are keyed, never positional: the mapping comes from the
-    ``dimension`` field of each response entry regardless of order.
+    ``dimension`` field of each response entry regardless of order. The reply
+    must score exactly the dimensions of ``hypotheses``, each once.
     """
     import requests
 
@@ -95,13 +116,17 @@ def request_entailment_scores(
         if dim in scores:
             raise ProtocolError(f"duplicate dimension in response: {dim!r}")
         scores[dim] = float(value)
+    if scores.keys() != {dim for dim, _ in hypotheses}:
+        raise ProtocolError(
+            f"entailment response covered {sorted(scores)} instead of the six dimensions"
+        )
     return scores
 
 
 def request_chat_completion(endpoint: ChatEndpoint, system: str, user: str) -> str:
     """Send one chat-completions request and return the completion text.
 
-    The text may be empty; callers decide whether that is an error.
+    A completion that is missing or only whitespace raises EmptyCompletion.
     """
     import requests
 
@@ -128,8 +153,8 @@ def request_chat_completion(endpoint: ChatEndpoint, system: str, user: str) -> s
         content = body["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise RealizerUnavailable(f"malformed chat response: {exc}") from exc
-    if content is None:
-        return ""
-    if not isinstance(content, str):
+    if content is not None and not isinstance(content, str):
         raise RealizerUnavailable("chat completion content is not a string")
+    if not (content or "").strip():
+        raise EmptyCompletion("chat realizer returned an empty completion")
     return content

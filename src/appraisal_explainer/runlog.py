@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 
-def _now() -> str:
+def utc_timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
@@ -47,16 +47,16 @@ class RunLog:
         prompt: dict | None = None,
         fallback: bool = False,
         started_at: str | None = None,
-        finished_at: str | None = None,
     ) -> RunRecord:
+        """Append a record that finishes now and started at ``started_at``, or now."""
         entry = RunRecord(
             mode=mode,
             realizer=realizer,
             response=response,
             prompt=prompt,
             fallback=fallback,
-            started_at=started_at or _now(),
-            finished_at=finished_at or _now(),
+            started_at=started_at or utc_timestamp(),
+            finished_at=utc_timestamp(),
         )
         self.records.append(entry)
         return entry

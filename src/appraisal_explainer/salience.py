@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .context import UnifiedContext
-from .errors import ConfigError, InvalidScore, ProtocolError, ScorerUnavailable
+from .errors import ConfigError, InvalidScore, ScorerUnavailable
 from .registry import Dimension, Registry
 from .remote import EntailmentEndpoint, request_entailment_scores
 
@@ -40,7 +40,7 @@ class SalienceProfile(NamedTuple):
     scorer_id: str
 
 
-def lexical_salience(context: UnifiedContext, registry: Registry) -> dict[Dimension, float]:
+def lexical_salience(context: UnifiedContext) -> dict[Dimension, float]:
     """Raw salience per dimension from keyword hits and structural bonuses.
 
     raw(d) = QUERY_HIT * |query hits for d| + PROFILE_HIT * |profile hits for d|
@@ -51,12 +51,8 @@ def lexical_salience(context: UnifiedContext, registry: Registry) -> dict[Dimens
     """
     raw: dict[Dimension, float] = {}
     for dim in Dimension:
-        hits = context.keyword_hits.get(dim)
-        score = 0.0
-        if hits is not None:
-            score += QUERY_HIT * len(hits.query)
-            score += PROFILE_HIT * len(hits.profile)
-        raw[dim] = score
+        hits = context.keyword_hits[dim]
+        raw[dim] = QUERY_HIT * len(hits.query) + PROFILE_HIT * len(hits.profile)
     if context.time_constraint_minutes is not None:
         raw[Dimension.URGENCY] += TIME_CONSTRAINT_BONUS
     if context.sentiment.total > 0:
@@ -83,11 +79,6 @@ def remote_entailment_salience(
         (info.id.value, info.canonical_statement) for info in registry.dimensions
     ]
     keyed = request_entailment_scores(endpoint, context.composite_text, hypotheses)
-    expected = {dim.value for dim in Dimension}
-    if set(keyed) != expected:
-        raise ProtocolError(
-            f"entailment response covered {sorted(keyed)} instead of the six dimensions"
-        )
     return {dim: keyed[dim.value] for dim in Dimension}
 
 
@@ -129,25 +120,20 @@ def compute_salience(
     """Run the selected scorer, normalize, and pick dominant dimensions.
 
     The remote scorer reads its endpoint from ``APPRAISAL_NLI_URL``. With
-    ``fallback`` enabled, an unreachable remote scorer degrades to the
-    lexical scorer and the scorer_id records that it did.
+    ``fallback`` enabled, a remote scorer that fails in any way ``remote``
+    lists degrades to the lexical scorer and the scorer_id records that it did.
     """
     if scorer == SCORER_LEXICAL:
-        raw = lexical_salience(context, registry)
+        raw = lexical_salience(context)
         scorer_id = SCORER_LEXICAL
     elif scorer == "remote":
         try:
-            endpoint = EntailmentEndpoint.from_env()
-            if endpoint is None:
-                raise ScorerUnavailable(
-                    "entailment endpoint not configured (set APPRAISAL_NLI_URL)"
-                )
-            raw = remote_entailment_salience(context, registry, endpoint)
+            raw = remote_entailment_salience(context, registry, EntailmentEndpoint.from_env())
             scorer_id = SCORER_REMOTE
         except ScorerUnavailable:
             if not fallback:
                 raise
-            raw = lexical_salience(context, registry)
+            raw = lexical_salience(context)
             scorer_id = SCORER_FALLBACK
     else:
         raise ConfigError(f"unknown scorer {scorer!r} (expected 'lexical' or 'remote')")

@@ -4,7 +4,7 @@ These schemas are the single description of each input format: candidates,
 profile, config, registry, lexicons and prompts. No other module checks their
 fields. Every loader checks its document with ``checker``, which compiles a
 schema once into nested closures: one per schema node, with the node's type
-test and keywords fused.
+test and keywords fused. ``bundled_text`` reads the package's own documents.
 
 The compiler supports exactly the keywords the input schemas use, under JSON
 Schema (draft 2020-12) semantics: ``type`` (a name, or a list of names, of
@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
+from importlib import resources
 from itertools import repeat
 from pathlib import Path
 from typing import Callable
@@ -370,6 +372,12 @@ def checker(schema: dict) -> Callable[[object], None]:
     if entry is None:  # the schema is kept with its check, so its id is never reused
         entry = _compiled[id(schema)] = (schema, compile_schema(schema))
     return entry[1]
+
+
+@lru_cache(maxsize=None)
+def bundled_text(name: str) -> str:
+    """The text of the package data file ``data/<name>``, read once per process."""
+    return resources.files(__package__).joinpath(f"data/{name}").read_text("utf-8")
 
 
 def load_document(source: str | Path | dict, what: str, schema: dict | None = None):

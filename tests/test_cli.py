@@ -15,7 +15,7 @@ from appraisal_explainer.config import PATH_KEYS, RunConfig, load_candidates, lo
 from appraisal_explainer.context import Query
 from appraisal_explainer.pipeline import load_engine_data, run_pipeline
 from appraisal_explainer.runlog import RunLog
-from appraisal_explainer.schemas import CONFIG_SCHEMA, SCHEMAS
+from appraisal_explainer.schemas import CONFIG_SCHEMA, SCHEMAS, bundled_text
 from appraisal_explainer.serialize import ranking_to_dict
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -409,6 +409,30 @@ def test_explain_out_dir_artifacts(capsys, fixture_files, tmp_path):
     assert all(r["started_at"] and r["finished_at"] for r in records)
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["salience"], "salience.json"),
+        (["rank"], "salience.json ranking.json"),
+        (["explain"], "salience.json ranking.json plan.json explanation.txt runlog.jsonl"),
+        (["explain", "--baseline"], "salience.json ranking.json baseline.txt runlog.jsonl"),
+        (
+            ["explain", "--compare"],
+            "salience.json ranking.json plan.json explanation.txt baseline.txt comparison.json runlog.jsonl",
+        ),
+        (["scenario", "sarah"], "salience.json ranking.json plan.json explanation.txt baseline.txt runlog.jsonl"),
+    ],
+    ids=["salience", "rank", "explain", "explain-baseline", "explain-compare", "scenario"],
+)
+def test_out_dir_holds_each_commands_artifacts(capsys, fixture_files, tmp_path, argv, files):
+    profile, query, candidates = fixture_files("sarah")
+    inputs = [] if argv[0] == "scenario" else ["--profile", profile, "--query", query, "--candidates", candidates]
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, [*argv, *inputs, "--out", str(out_dir)])
+    assert (code, err) == (0, "")
+    assert {path.name for path in out_dir.iterdir()} == set(files.split())
+
+
 @pytest.mark.parametrize("name", ["sarah", "alex"])
 def test_scenario_passes(capsys, tmp_path, name):
     code, out, _ = _run(
@@ -461,14 +485,12 @@ def test_schemas_unknown_name(capsys):
 
 
 def test_bundled_inputs_validate_against_schemas():
-    from appraisal_explainer.fixtures import fixture_document
-    from appraisal_explainer.registry import _bundled_document
-    from appraisal_explainer.lexicons import _bundled_doc
+    from appraisal_explainer.fixtures import FIXTURE_NAMES
 
-    jsonschema.validate(json.loads(_bundled_document()), SCHEMAS["registry"])
-    jsonschema.validate(json.loads(_bundled_doc()), SCHEMAS["lexicons"])
-    for name in ("sarah", "alex"):
-        jsonschema.validate(fixture_document(name), SCHEMAS["fixture"])
+    documents = [("registry", "registry.json"), ("lexicons", "lexicons.json"), ("prompts", "prompts.json")]
+    documents += [("fixture", f"fixtures/{name}.json") for name in FIXTURE_NAMES]
+    for schema, name in documents:
+        jsonschema.validate(json.loads(bundled_text(name)), SCHEMAS[schema])
 
 
 def test_commands_byte_stable(capsys, fixture_files):
@@ -509,6 +531,18 @@ def test_empty_config_path_is_not_given(capsys, tmp_path):
     assert (code, err) == (0, "")
     golden = (GOLDEN_DIR / "alex_explanation.txt").read_bytes()
     assert (tmp_path / "explanation.txt").read_bytes() == golden
+
+
+def test_directory_path_is_an_input_error(capsys, tmp_path):
+    code, out, err = _run(capsys, ["scenario", "alex", "--registry", str(tmp_path)])
+    assert (code, out, err) == (2, "", f"error: registry path is not a file: {tmp_path}\n")
+
+
+def test_pipe_path_passes_the_path_check(tmp_path):
+    # A shell's <(...) names a pipe, which is read like a file.
+    pipe = tmp_path / "profile"
+    os.mkfifo(pipe)
+    assert resolve_config({}, {"profile": str(pipe)}).profile_path == str(pipe)
 
 
 def test_config_sets_every_schema_key(tmp_path):

@@ -12,7 +12,7 @@ from appraisal_explainer import (
     compute_salience,
     parse_time_constraint,
     rank_candidates,
-    tally_sentiment,
+    tally_sentiment_tokens,
     tokenize,
 )
 from appraisal_explainer.errors import EmptyQuery
@@ -114,18 +114,18 @@ def test_tokenize_splits_non_alphanumerics():
 
 
 def test_tally_sentiment_hand_counts(lexicons):
-    tally = tally_sentiment("satisfying dinner, delicious and fresh", lexicons)
+    tally = tally_sentiment_tokens(tokenize("satisfying dinner, delicious and fresh"), lexicons)
     assert (tally.positive_hits, tally.negative_hits) == (3, 0)
     assert set(tally.matched_positive) == {"satisfying", "delicious", "fresh"}
 
-    assert tally_sentiment("", lexicons).total == 0
+    assert tally_sentiment_tokens(tokenize(""), lexicons).total == 0
 
-    tally = tally_sentiment("bland and boring", lexicons)
+    tally = tally_sentiment_tokens(tokenize("bland and boring"), lexicons)
     assert (tally.positive_hits, tally.negative_hits) == (0, 2)
 
 
 def test_tally_sentiment_counts_each_occurrence(lexicons):
-    tally = tally_sentiment("delicious, truly delicious", lexicons)
+    tally = tally_sentiment_tokens(tokenize("delicious, truly delicious"), lexicons)
     assert tally.positive_hits == 2
     assert tally.matched_positive == ("delicious", "delicious")
     assert tally.positive_hits == len(tally.matched_positive)

@@ -5,7 +5,7 @@ import pytest
 
 from appraisal_explainer import Dimension, load_registry
 from appraisal_explainer.errors import ConfigError
-from appraisal_explainer.registry import _bundled_document
+from appraisal_explainer.schemas import bundled_text
 
 
 def test_bundled_catalog_shape(registry):
@@ -20,7 +20,7 @@ def test_canonical_statements_nonempty(registry):
 
 
 def test_round_trip_bundled(registry):
-    assert load_registry(json.loads(_bundled_document())) == registry
+    assert load_registry(json.loads(bundled_text("registry.json"))) == registry
 
 
 def test_display_name_override_keeps_canonical_statement(registry):

@@ -132,7 +132,7 @@ def test_entailment_connection_refused(sarah_context, registry):
 def test_remote_fallback_equals_lexical(sarah_context, registry, monkeypatch):
     monkeypatch.setenv("APPRAISAL_NLI_URL", dead_url())
     profile = compute_salience(sarah_context, registry, scorer="remote", fallback=True)
-    direct = normalize(lexical_salience(sarah_context, registry))
+    direct = normalize(lexical_salience(sarah_context))
     assert profile.weights == direct
     assert profile.scorer_id != "lexical"
     assert "fallback" in profile.scorer_id
@@ -158,7 +158,24 @@ def test_entailment_timeout_falls_back_to_lexical(sarah_context, registry, monke
     with stub_server(lambda payload: (200, nli_response_for(payload)), delay=SLOW_S) as server:
         _slow_endpoint(monkeypatch, EntailmentEndpoint, server.url)
         profile = compute_salience(sarah_context, registry, scorer="remote", fallback=True)
-    assert profile.weights == normalize(lexical_salience(sarah_context, registry))
+    assert profile.weights == normalize(lexical_salience(sarah_context))
+    assert profile.scorer_id == salience.SCORER_FALLBACK
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        lambda payload: "this is not json",
+        lambda payload: {"result": "entailment"},
+        lambda payload: nli_response_for(payload, CANNED, drop_last=True),
+    ],
+    ids=["non-json", "wrong-shape", "partial-coverage"],
+)
+def test_malformed_entailment_reply_falls_back_to_lexical(sarah_context, registry, monkeypatch, reply):
+    with stub_server(lambda payload: (200, reply(payload))) as server:
+        monkeypatch.setenv("APPRAISAL_NLI_URL", server.url)
+        profile = compute_salience(sarah_context, registry, scorer="remote", fallback=True)
+    assert profile.weights == normalize(lexical_salience(sarah_context))
     assert profile.scorer_id == salience.SCORER_FALLBACK
 
 
@@ -233,6 +250,21 @@ def test_llm_timeout_falls_back_to_template(sarah_bundle, monkeypatch):
     runlog = RunLog()
     with stub_server(lambda payload: (200, chat_response("late")), delay=SLOW_S) as server:
         _slow_endpoint(monkeypatch, ChatEndpoint, server.url)
+        text = realize_appraisal(plan, load_engine_data(cfg), cfg, runlog)
+    assert text == realize_template(plan)
+    assert [(r.realizer, r.fallback) for r in runlog.records] == [("template", True)]
+
+
+@pytest.mark.parametrize("content", ["", "  \n", None])
+def test_llm_empty_completion_falls_back_to_template(sarah_bundle, monkeypatch, content):
+    from appraisal_explainer.config import RunConfig
+    from appraisal_explainer.pipeline import load_engine_data, realize_appraisal
+
+    plan, _ = sarah_bundle
+    cfg = RunConfig(realizer="llm", fallback=True)
+    runlog = RunLog()
+    with stub_server(lambda payload: (200, chat_response(content))) as server:
+        monkeypatch.setenv("APPRAISAL_LLM_URL", server.url)
         text = realize_appraisal(plan, load_engine_data(cfg), cfg, runlog)
     assert text == realize_template(plan)
     assert [(r.realizer, r.fallback) for r in runlog.records] == [("template", True)]

@@ -26,15 +26,15 @@ def test_lexical_formula_reduced_profile(registry, lexicons):
     # goals only, no preference keywords: Urgency = 2*1 (query "hurry") + 2
     # (time bonus) = 4; GoalRelevance = 1*2 (profile hits) + 1 (goals bonus) = 3.
     profile = UserProfile(user_id="u", goals=("healthy", "nutritious"))
-    raw = lexical_salience(_context(registry, lexicons, profile, SARAH_QUERY), registry)
+    raw = lexical_salience(_context(registry, lexicons, profile, SARAH_QUERY))
     assert raw[Dimension.URGENCY] == 4.0
     assert raw[Dimension.GOAL_RELEVANCE] == 3.0
 
 
-def test_lexical_formula_sarah_fixture(sarah_context, registry):
+def test_lexical_formula_sarah_fixture(sarah_context):
     # The bundled profile adds the "quick" preference, an extra Urgency
     # profile hit on top of the reduced-profile numbers.
-    raw = lexical_salience(sarah_context, registry)
+    raw = lexical_salience(sarah_context)
     assert raw[Dimension.URGENCY] == 5.0
     assert raw[Dimension.GOAL_RELEVANCE] == 3.0
     for dim in (
@@ -48,16 +48,14 @@ def test_lexical_formula_sarah_fixture(sarah_context, registry):
 
 def test_lexical_zero_signal(registry, lexicons):
     profile = UserProfile(user_id="u")
-    raw = lexical_salience(_context(registry, lexicons, profile, "feed me"), registry)
+    raw = lexical_salience(_context(registry, lexicons, profile, "feed me"))
     assert all(value == 0.0 for value in raw.values())
 
 
 def test_adding_urgency_keyword_raises_only_urgency(registry, lexicons):
     profile = UserProfile(user_id="u", goals=("healthy",))
-    base = lexical_salience(_context(registry, lexicons, profile, "dinner ideas"), registry)
-    bumped = lexical_salience(
-        _context(registry, lexicons, profile, "dinner ideas asap"), registry
-    )
+    base = lexical_salience(_context(registry, lexicons, profile, "dinner ideas"))
+    bumped = lexical_salience(_context(registry, lexicons, profile, "dinner ideas asap"))
     for dim in Dimension:
         expected_delta = 2.0 if dim == Dimension.URGENCY else 0.0
         assert bumped[dim] - base[dim] == expected_delta
@@ -135,8 +133,8 @@ def _keeps_strict_order(before, after):
     return all(after[a] < after[b] for a in Dimension for b in Dimension if before[a] < before[b])
 
 
-def test_dominant_sarah(sarah_context, registry):
-    weights = normalize(lexical_salience(sarah_context, registry))
+def test_dominant_sarah(sarah_context):
+    weights = normalize(lexical_salience(sarah_context))
     # The other four weigh 0: top_k is a cap, so two are dominant.
     assert dominant_dimensions(weights, k=3) == (Dimension.URGENCY, Dimension.GOAL_RELEVANCE)
 
