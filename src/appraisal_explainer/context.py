@@ -137,7 +137,7 @@ def _keywords(values) -> tuple[str, ...]:
 
 
 class UserProfile(Immutable):
-    """Long-term user profile; keyword fields are lowercase-normalized."""
+    """Long-term user profile; keyword fields are lowercase-normalized, goals and constraints deduplicated."""
 
     def __init__(
         self,
@@ -151,9 +151,9 @@ class UserProfile(Immutable):
         fields = self.__dict__
         fields["user_id"] = user_id
         fields["description"] = description
-        fields["goals"] = _keywords(goals)
+        fields["goals"] = tuple(dict.fromkeys(_keywords(goals)))
         fields["preference_keywords"] = _keywords(preference_keywords)
-        fields["dietary_constraints"] = _keywords(dietary_constraints)
+        fields["dietary_constraints"] = tuple(dict.fromkeys(_keywords(dietary_constraints)))
         fields["familiar_items"] = _keywords(familiar_items)
 
     def _key(self) -> tuple:
@@ -176,18 +176,10 @@ class UserProfile(Immutable):
 
     # Derived once per profile, not once per scored candidate.
     @cached_property
-    def unique_goals(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(self.goals))
-
-    @cached_property
     def goal_tokens(self) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
-        """(goal, first token, other tokens) of each unique goal that has tokens."""
-        split = ((goal, tokenize(goal)) for goal in self.unique_goals)
+        """(goal, first token, other tokens) of each goal that has tokens."""
+        split = ((goal, tokenize(goal)) for goal in self.goals)
         return tuple((goal, tokens[0], tuple(tokens[1:])) for goal, tokens in split if tokens)
-
-    @cached_property
-    def unique_constraints(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(self.dietary_constraints))
 
     @cached_property
     def familiar_set(self) -> frozenset[str]:
@@ -257,8 +249,8 @@ def _composite_text(profile: UserProfile, query: Query) -> str:
     parts = []
     if profile.description.strip():
         parts.append(profile.description.strip())
-    if profile.unique_goals:
-        parts.append("Goals: " + ", ".join(profile.unique_goals) + ".")
+    if profile.goals:
+        parts.append("Goals: " + ", ".join(profile.goals) + ".")
     parts.append(query.text.strip())
     return " ".join(parts)
 

@@ -26,20 +26,12 @@ class DuplicateCandidate(InputError):
     """A candidate id appears more than once in a candidate set."""
 
 
-class InvalidScore(EngineError):
-    """A raw salience score is negative or non-finite."""
-
-
 class ScorerUnavailable(EngineError):
     """The remote entailment scorer could not be reached."""
 
 
 class ProtocolError(ScorerUnavailable):
     """The remote entailment scorer returned a malformed response."""
-
-
-class IncompleteVector(EngineError):
-    """An appraisal vector or salience profile does not cover all six dimensions."""
 
 
 class NoCandidates(EngineError):
@@ -51,7 +43,7 @@ class NothingToExplain(EngineError):
 
 
 class InvalidPromptRequest(EngineError):
-    """Prompt mode and payload do not match."""
+    """The prompt mode is neither appraisal nor baseline."""
 
 
 class RealizerUnavailable(EngineError):

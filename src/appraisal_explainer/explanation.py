@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .context import UnifiedContext, minutes_text
-from .errors import ConfigError, InputError, InvalidPromptRequest, NothingToExplain
+from .errors import ConfigError, InvalidPromptRequest, NothingToExplain
 from .registry import Dimension, Registry
 from .remote import ChatEndpoint, request_chat_completion
 from .runlog import RunLog, utc_timestamp
@@ -62,7 +62,7 @@ def summarize_context(context: UnifiedContext) -> str:
     """Short deterministic digest: goals, time constraint, query keywords."""
     parts = []
     if context.profile.goals:
-        parts.append("goals: " + ", ".join(context.profile.unique_goals))
+        parts.append("goals: " + ", ".join(context.profile.goals))
     if context.time_constraint_minutes is not None:
         parts.append("time limit: " + minutes_text(context.time_constraint_minutes))
     query_words: list[str] = []
@@ -94,7 +94,7 @@ def build_plan(
             display_name=registry.display_name(dim),
             weight=salience.weights[dim],
             score=top.vector.scores[dim],
-            evidence=tuple(top.vector.evidence.get(dim, ())),
+            evidence=top.vector.evidence[dim],
         )
         for dim in Dimension
     }
@@ -149,7 +149,7 @@ def realize_template(plan: ExplanationPlan) -> str:
             lines.append(head + f"alignment score {finding.score:.2f}; no direct evidence recorded.")
     normative = next(f for f in plan.per_dimension if f.dimension is Dimension.NORMATIVE_SIGNIFICANCE)
     violations = [fact for fact in normative.evidence if type(fact) is Against]
-    constraints = plan.context.profile.unique_constraints
+    constraints = plan.context.profile.dietary_constraints
     if violations:
         lines.append("Dietary constraints not satisfied: " + "; ".join(violations) + ".")
     elif constraints:
@@ -163,8 +163,6 @@ def realize_baseline_template(context: UnifiedContext, candidates: list[Candidat
     Mirrors a plain request-and-answer flow: it recommends the first listed
     candidate from its surface details, with no appraisal vocabulary.
     """
-    if not candidates:
-        raise NothingToExplain("baseline needs at least one candidate")
     first = candidates[0]
     return (
         f'Based on your request "{context.query.text}", try {first.name}: '
@@ -229,9 +227,9 @@ def _render_profile(profile) -> str:
         [
             f"User: {profile.user_id}",
             f"About: {profile.description or '(none)'}",
-            f"Goals: {fmt(profile.unique_goals)}",
+            f"Goals: {fmt(profile.goals)}",
             f"Preferences: {fmt(profile.preference_keywords)}",
-            f"Dietary constraints: {fmt(profile.unique_constraints)}",
+            f"Dietary constraints: {fmt(profile.dietary_constraints)}",
             f"Familiar items: {fmt(profile.familiar_items)}",
         ]
     )
@@ -290,16 +288,14 @@ def build_prompt(
 ) -> PromptBundle:
     """Assemble the prompt bundle for one realization.
 
-    Appraisal mode requires a plan and renders five sections (profile,
-    situation, dominant appraisals, recipe details, instruction); baseline
-    mode requires the context plus a candidate list and renders the same
-    sections minus the appraisal one, with its own instruction.
+    Appraisal mode reads ``plan`` and renders five sections (profile, situation,
+    dominant appraisals, recipe details, instruction); baseline mode reads
+    ``context`` and ``candidates`` and renders the same sections minus the
+    appraisal one, with its own instruction. Another mode raises InvalidPromptRequest.
     """
     templates = templates or load_prompt_templates()
     labels = templates.section_labels
     if mode == MODE_APPRAISAL:
-        if plan is None:
-            raise InvalidPromptRequest("appraisal mode requires an explanation plan")
         dominant_names = ", ".join(f.display_name for f in plan.dominant)
         instruction = templates.appraisal_instruction.format(
             candidate_name=plan.candidate.name, dominant_names=dominant_names
@@ -312,10 +308,6 @@ def build_prompt(
             (labels["instruction"], instruction),
         )
     elif mode == MODE_BASELINE:
-        if plan is not None or context is None or not candidates:
-            raise InvalidPromptRequest(
-                "baseline mode requires a context and candidate list, not a plan"
-            )
         sections = (
             (labels["profile"], _render_profile(context.profile)),
             (labels["situation"], _render_situation(context)),
@@ -380,8 +372,6 @@ def _mentions(text: str, plan: ExplanationPlan) -> MentionReport:
 
 def compare(appraisal_text: str, baseline_text: str, plan: ExplanationPlan) -> ComparisonReport:
     """Structural comparison of the two texts; no quality judgment."""
-    if not appraisal_text or not baseline_text:
-        raise InputError("compare requires two non-empty texts")
     return ComparisonReport(
         appraisal=_mentions(appraisal_text, plan),
         baseline=_mentions(baseline_text, plan),

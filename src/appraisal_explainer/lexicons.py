@@ -18,7 +18,7 @@ class Lexicons(NamedTuple):
     negative: frozenset[str]
 
     def words_for(self, dim: Dimension) -> frozenset[str]:
-        return self.dimension_words.get(dim, frozenset())
+        return self.dimension_words[dim]
 
 
 def _normalize(words) -> frozenset[str]:

@@ -116,10 +116,9 @@ def request_entailment_scores(
         if dim in scores:
             raise ProtocolError(f"duplicate dimension in response: {dim!r}")
         scores[dim] = float(value)
-    if scores.keys() != {dim for dim, _ in hypotheses}:
-        raise ProtocolError(
-            f"entailment response covered {sorted(scores)} instead of the six dimensions"
-        )
+    asked = {dim for dim, _ in hypotheses}
+    if scores.keys() != asked:
+        raise ProtocolError(f"entailment response covered {sorted(scores)} instead of {sorted(asked)}")
     return scores
 
 

@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .context import UnifiedContext
-from .errors import ConfigError, InvalidScore, ScorerUnavailable
+from .errors import ConfigError, ScorerUnavailable
 from .registry import Dimension, Registry
 from .remote import EntailmentEndpoint, request_entailment_scores
 
@@ -83,16 +83,10 @@ def remote_entailment_salience(
 
 
 def normalize(raw: dict[Dimension, float]) -> dict[Dimension, float]:
-    """L1-normalize a raw score map; an all-zero map becomes exactly uniform."""
-    missing = [dim for dim in Dimension if dim not in raw]
-    if missing:
-        raise InvalidScore(f"raw scores missing dimensions: {[d.value for d in missing]}")
-    for dim in Dimension:
-        value = raw[dim]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InvalidScore(f"raw score for {dim.value} is not a number")
-        if not math.isfinite(value) or value < 0:
-            raise InvalidScore(f"raw score for {dim.value} is invalid: {value}")
+    """L1-normalize a raw score map; an all-zero map becomes exactly uniform.
+
+    Each scorer gives a finite, non-negative score per dimension, so none is checked again.
+    """
     total = math.fsum(raw[dim] for dim in Dimension)
     if total == 0.0:
         return {dim: UNIFORM_WEIGHT for dim in Dimension}

@@ -49,7 +49,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .context import Immutable, UnifiedContext, minutes_text, tally_sentiment_tokens, tokenize
-from .errors import DuplicateCandidate, IncompleteVector, NoCandidates
+from .errors import DuplicateCandidate, NoCandidates
 from .lexicons import Lexicons
 from .registry import DIMENSIONS, Dimension
 from .salience import SalienceProfile
@@ -322,13 +322,13 @@ class _Situation:
 
     def __init__(self, context: UnifiedContext):
         profile = context.profile
-        constraints = profile.unique_constraints
+        constraints = profile.dietary_constraints
         self.limit = context.time_constraint_minutes
         self.times: dict[int, tuple[float, tuple[str]]] = {}  # prep minutes -> time fit, evidence
         # Sorted by goal, so the goals a candidate matches come out sorted.
         self.goal_tokens = tuple(sorted(profile.goal_tokens))
         self.goal_firsts = frozenset(first for _, first, _ in self.goal_tokens)
-        self.goal_count = len(profile.unique_goals)
+        self.goal_count = len(profile.goals)
         self.familiar = profile.familiar_set
         self.rules = tuple(map(_constraint_rule, constraints))
         if constraints:
@@ -414,44 +414,21 @@ def appraisal_vector(
     ))
 
 
-def _incomplete(scores, weights) -> IncompleteVector:
-    missing = [dim.value for dim in DIMENSIONS if dim not in scores or dim not in weights]
-    return IncompleteVector(f"missing dimensions: {missing}")
-
-
 def _composite(salience: SalienceProfile):
-    """The composite of a scores dict: the one definition ``composite_score`` and ``rank_vectors`` share.
+    """Read the six weights once; return the function that gives a scores dict's composite.
 
-    Reads the six weights once and returns the function that weighs a scores
-    dict by them, in one left-to-right sum in ``DIMENSIONS`` order, clamped.
+    One left-to-right sum in ``DIMENSIONS`` order, clamped to [0, 1]: weights that sum
+    to 1 can add up to just above it (0.4 + 0.2 + 0.3 + 0.1 is 1.0000000000000002).
     """
-    weights = salience.weights
-    if any(dim not in weights for dim in DIMENSIONS):
-        def composite(scores):
-            raise _incomplete(scores, weights)
-        return composite
-    w0, w1, w2, w3, w4, w5 = [weights[dim] for dim in DIMENSIONS]
+    w0, w1, w2, w3, w4, w5 = [salience.weights[dim] for dim in DIMENSIONS]
 
     def composite(scores):
-        try:
-            total = (
-                w0 * scores[_PREDICTABILITY] + w1 * scores[_GOAL] + w2 * scores[_VALENCE]
-                + w3 * scores[_URGENCY] + w4 * scores[_AGENCY] + w5 * scores[_NORMATIVE]
-            )
-        except KeyError:
-            raise _incomplete(scores, weights) from None
-        return _clamp01(total)
+        return _clamp01(
+            w0 * scores[_PREDICTABILITY] + w1 * scores[_GOAL] + w2 * scores[_VALENCE]
+            + w3 * scores[_URGENCY] + w4 * scores[_AGENCY] + w5 * scores[_NORMATIVE]
+        )
 
     return composite
-
-
-def composite_score(vector: AppraisalVector, salience: SalienceProfile) -> float:
-    """Salience-weighted sum of the vector's scores, in fixed dimension order.
-
-    Clamped to [0, 1]: weights that sum to 1 can add up to just above it in
-    floating point (0.4 + 0.2 + 0.3 + 0.1 is 1.0000000000000002).
-    """
-    return _composite(salience)(vector.scores)
 
 
 def rank_vectors(
@@ -471,9 +448,8 @@ def rank_vectors(
     excluded: list[Exclusion] = []
     for vector, candidate in zip(vectors, candidates, strict=True):
         candidate_id, scores, evidence = vector
-        if filter_normative and scores.get(_NORMATIVE) == 0.0:
-            reason = "; ".join(evidence.get(_NORMATIVE, ()))
-            excluded.append(_new(Exclusion, (candidate_id, reason or "normative violation")))
+        if filter_normative and scores[_NORMATIVE] == 0.0:
+            excluded.append(_new(Exclusion, (candidate_id, "; ".join(evidence[_NORMATIVE]))))
             continue
         entries.append(_new(RankedEntry, (candidate_id, composite(scores), vector, candidate)))
     entries.sort(key=lambda entry: (-entry.composite, entry.candidate_id))

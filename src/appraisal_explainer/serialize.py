@@ -115,7 +115,7 @@ def write_ranking_json(ranked: RankedList, stream) -> None:
     The bytes are those of ``json.dumps(ranking_to_dict(ranked), indent=2,
     ensure_ascii=False) + "\\n"``, without building the dict or holding the
     document as one string. Scores and composites are finite floats, as the
-    scorers and ``composite_score`` make them, so ``float.__repr__`` writes
+    scorers and ``rank_vectors`` make them, so ``float.__repr__`` writes
     each as ``json`` does.
     """
     chunks = _ranking_chunks(ranked)

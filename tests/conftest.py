@@ -2,13 +2,10 @@ import json
 
 import pytest
 
-from appraisal_explainer import (
-    Query,
-    build_unified_context,
-    load_lexicons,
-    load_registry,
-)
+from appraisal_explainer.context import build_unified_context
 from appraisal_explainer.fixtures import fixture_document, load_fixture
+from appraisal_explainer.lexicons import load_lexicons
+from appraisal_explainer.registry import load_registry
 
 
 @pytest.fixture(scope="session")

@@ -3,19 +3,18 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from appraisal_explainer import (
-    Candidate,
-    Dimension,
+from appraisal_explainer.context import (
     Query,
     UserProfile,
     build_unified_context,
-    compute_salience,
     parse_time_constraint,
-    rank_candidates,
     tally_sentiment_tokens,
     tokenize,
 )
 from appraisal_explainer.errors import EmptyQuery
+from appraisal_explainer.registry import Dimension
+from appraisal_explainer.salience import compute_salience
+from appraisal_explainer.scoring import Candidate, rank_candidates
 
 
 # Independent oracle for the duration grammar: each form scanned separately,
@@ -173,6 +172,12 @@ def test_records_refuse_assignment_and_keep_their_construction_checks(kind, fiel
     with pytest.raises(EmptyQuery):
         Query(text="  ")
     assert UserProfile(user_id="u", goals=(" Quick ", "")).goals == ("quick",)
+
+
+def test_profile_keeps_each_goal_and_constraint_once():
+    assert UserProfile("u", goals=("quick", "Quick")).goals == ("quick",)
+    profile = UserProfile("u", dietary_constraints=("vegan", "no-nuts", " Vegan "))
+    assert profile.dietary_constraints == ("vegan", "no-nuts")
 
 
 def test_sarah_context_signals(sarah_context):

@@ -3,8 +3,8 @@ import re
 
 import pytest
 
-from appraisal_explainer import Dimension, load_registry
 from appraisal_explainer.errors import ConfigError
+from appraisal_explainer.registry import Dimension, load_registry
 from appraisal_explainer.schemas import bundled_text
 
 

@@ -8,23 +8,20 @@ import pytest
 
 import appraisal_explainer
 from appraisal_explainer import explanation, salience
-from appraisal_explainer import (
-    Dimension,
-    build_prompt,
-    compute_salience,
-    lexical_salience,
-    normalize,
-    realize_llm,
-    realize_template,
-    remote_entailment_salience,
-)
 from appraisal_explainer.errors import (
     EmptyCompletion,
     ProtocolError,
     RealizerUnavailable,
     ScorerUnavailable,
 )
-from appraisal_explainer.explanation import MODE_APPRAISAL, build_plan
+from appraisal_explainer.explanation import (
+    MODE_APPRAISAL,
+    build_plan,
+    build_prompt,
+    realize_llm,
+    realize_template,
+)
+from appraisal_explainer.registry import Dimension
 from appraisal_explainer.remote import (
     ChatEndpoint,
     EntailmentEndpoint,
@@ -32,6 +29,12 @@ from appraisal_explainer.remote import (
     request_entailment_scores,
 )
 from appraisal_explainer.runlog import RunLog
+from appraisal_explainer.salience import (
+    compute_salience,
+    lexical_salience,
+    normalize,
+    remote_entailment_salience,
+)
 from appraisal_explainer.scoring import rank_candidates
 
 from stub_servers import chat_response, dead_url, nli_response_for, stub_server
@@ -95,6 +98,12 @@ def test_entailment_unknown_dimension_error(sarah_context, registry):
             remote_entailment_salience(
                 sarah_context, registry, EntailmentEndpoint(url=server.url)
             )
+
+
+def test_entailment_coverage_error_names_the_asked_dimensions():
+    with stub_server(lambda payload: (200, {"scores": []})) as server:
+        with pytest.raises(ProtocolError, match=r"^entailment response covered \[\] instead of \['Valence'\]$"):
+            request_entailment_scores(EntailmentEndpoint(url=server.url), "premise", [("Valence", "h")])
 
 
 def test_entailment_out_of_range_score(sarah_context, registry):

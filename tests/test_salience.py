@@ -3,17 +3,15 @@ import math
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from appraisal_explainer import (
-    Dimension,
-    Query,
-    UserProfile,
-    build_unified_context,
+from appraisal_explainer.context import Query, UserProfile, build_unified_context
+from appraisal_explainer.errors import ConfigError, ScorerUnavailable
+from appraisal_explainer.registry import Dimension
+from appraisal_explainer.salience import (
     compute_salience,
     dominant_dimensions,
     lexical_salience,
     normalize,
 )
-from appraisal_explainer.errors import ConfigError, InvalidScore, ScorerUnavailable
 
 SARAH_QUERY = "I'm hungry and in a hurry, can you make something in 15 minutes?"
 
@@ -78,20 +76,6 @@ def test_normalize_single_nonzero():
     weights = normalize(raw)
     assert weights[Dimension.AGENCY] == 1.0
     assert sum(weights.values()) == 1.0
-
-
-@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
-def test_normalize_rejects_invalid(bad):
-    raw = {dim: 1.0 for dim in Dimension}
-    raw[Dimension.VALENCE] = bad
-    with pytest.raises(InvalidScore):
-        normalize(raw)
-
-
-def test_normalize_rejects_missing_dimension():
-    raw = {dim: 1.0 for dim in list(Dimension)[:5]}
-    with pytest.raises(InvalidScore):
-        normalize(raw)
 
 
 @given(

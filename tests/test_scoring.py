@@ -12,33 +12,23 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from appraisal_explainer import (
-    AppraisalVector,
-    Candidate,
-    Dimension,
-    Query,
-    SalienceProfile,
-    UserProfile,
-    appraisal_vector,
-    build_plan,
-    build_unified_context,
-    composite_score,
-    compute_salience,
-    load_lexicons,
-    rank_candidates,
-    rank_vectors,
-    realize_template,
-    tokenize,
-)
 from appraisal_explainer import scoring
 from appraisal_explainer.config import RunConfig
-from appraisal_explainer.errors import (
-    DuplicateCandidate,
-    IncompleteVector,
-    NoCandidates,
-)
+from appraisal_explainer.context import Query, UserProfile, build_unified_context, tokenize
+from appraisal_explainer.errors import DuplicateCandidate, NoCandidates
+from appraisal_explainer.explanation import build_plan, realize_template
+from appraisal_explainer.lexicons import load_lexicons
 from appraisal_explainer.pipeline import load_engine_data, run_pipeline
+from appraisal_explainer.registry import Dimension
 from appraisal_explainer.runlog import RunLog
+from appraisal_explainer.salience import SalienceProfile, compute_salience, normalize
+from appraisal_explainer.scoring import (
+    AppraisalVector,
+    Candidate,
+    appraisal_vector,
+    rank_candidates,
+    rank_vectors,
+)
 from appraisal_explainer.serialize import write_ranking_json
 
 DIMS = list(Dimension)
@@ -191,9 +181,15 @@ def _candidates(vectors):
     return [Candidate(id=vector.candidate_id, name=vector.candidate_id) for vector in vectors]
 
 
+def _composite(vector, salience):
+    """The composite ``rank_vectors`` gives ``vector`` under ``salience``."""
+    [entry] = rank_vectors([vector], _candidates([vector]), salience, filter_normative=False).entries
+    return entry.composite
+
+
 def test_composite_uniform_all_ones():
     salience = _salience([1 / 6] * 6)
-    assert composite_score(_vector("c", [1.0] * 6), salience) == pytest.approx(1.0)
+    assert _composite(_vector("c", [1.0] * 6), salience) == pytest.approx(1.0)
 
 
 def test_composite_one_hot_projection():
@@ -201,7 +197,7 @@ def test_composite_one_hot_projection():
     values[DIMS.index(Dimension.URGENCY)] = 1.0
     salience = _salience(values)
     scores = [0.2, 0.4, 0.6, 0.85, 0.1, 0.3]
-    assert composite_score(_vector("c", scores), salience) == pytest.approx(0.85)
+    assert _composite(_vector("c", scores), salience) == pytest.approx(0.85)
 
 
 def test_composite_matches_manual_dot_product():
@@ -210,29 +206,23 @@ def test_composite_matches_manual_dot_product():
     expected = 0.0
     for w, s in zip(weights, scores):
         expected += w * s
-    assert composite_score(_vector("c", scores), _salience(weights)) == expected
+    assert _composite(_vector("c", scores), _salience(weights)) == expected
 
 
 def test_composite_sums_left_to_right_without_compensation():
     # A compensated sum (math.fsum, or sum() of floats from Python 3.12 on)
     # gives 0.5833333333333334 here.
-    from appraisal_explainer import normalize
-
     weights = normalize(dict(zip(DIMS, [3, 3, 0, 2, 4, 3])))
     salience = _salience([weights[dim] for dim in DIMS])
     vector = _vector("c", [0.6, 0.45, 0.75, 0.55, 0.9, 0.3])
-    assert composite_score(vector, salience) == 0.5833333333333333
-    [entry] = rank_vectors([vector], _candidates([vector]), salience, filter_normative=False).entries
-    assert entry.composite == 0.5833333333333333
+    assert _composite(vector, salience) == 0.5833333333333333
 
 
 def test_composite_of_negative_zero_products_is_positive_zero():
     # A sum from 0.0 gives +0.0 here; the expression's first product is -0.0, so the clamp decides.
     vector = _vector("c", [0.0] * 6)
     salience = _salience([-0.0] * 6)
-    assert math.copysign(1.0, composite_score(vector, salience)) == 1.0
-    [entry] = rank_vectors([vector], _candidates([vector]), salience, filter_normative=False).entries
-    assert math.copysign(1.0, entry.composite) == 1.0
+    assert math.copysign(1.0, _composite(vector, salience)) == 1.0
 
 
 @given(
@@ -241,29 +231,9 @@ def test_composite_of_negative_zero_products_is_positive_zero():
 )
 @example(raw=[4, 2, 3, 1, 0, 0], scores=[1.0] * 6)  # sums to 1.0000000000000002 unclamped
 def test_composite_within_unit_interval(raw, scores):
-    from appraisal_explainer import normalize
-
     weights = normalize(dict(zip(DIMS, raw)))
     salience = _salience([weights[dim] for dim in DIMS])
-    assert 0.0 <= composite_score(_vector("c", scores), salience) <= 1.0
-
-
-def test_composite_missing_dimension_rejected():
-    salience = _salience([1 / 6] * 6)
-    scores = {dim: 0.5 for dim in DIMS[:5]}
-    vector = AppraisalVector(candidate_id="c", scores=scores, evidence={})
-    with pytest.raises(IncompleteVector, match=r"^missing dimensions: \['NormativeSignificance'\]$"):
-        composite_score(vector, salience)
-
-
-def test_composite_names_every_missing_dimension_in_order():
-    # One missing from the weights, one from the scores: both named, in dimension order.
-    salience = _salience([1 / 6] * 6)
-    del salience.weights[Dimension.AGENCY]
-    scores = {dim: 0.5 for dim in DIMS if dim is not Dimension.GOAL_RELEVANCE}
-    vector = AppraisalVector(candidate_id="c", scores=scores, evidence={})
-    with pytest.raises(IncompleteVector, match=r"^missing dimensions: \['GoalRelevance', 'Agency'\]$"):
-        composite_score(vector, salience)
+    assert 0.0 <= _composite(_vector("c", scores), salience) <= 1.0
 
 
 def test_rank_single_candidate(sarah_context, lexicons):
@@ -275,8 +245,6 @@ def test_rank_single_candidate(sarah_context, lexicons):
 
 
 def test_rank_sarah_fixture_winner(sarah, sarah_context, registry, lexicons):
-    from appraisal_explainer import compute_salience
-
     salience = compute_salience(sarah_context, registry)
     ranked = rank_candidates(
         list(sarah.candidates), sarah_context, salience, lexicons=lexicons
@@ -308,8 +276,6 @@ def test_rank_duplicate_ids_rejected(sarah_context, lexicons):
 
 
 def test_filter_excludes_violators(alex, alex_context, registry, lexicons):
-    from appraisal_explainer import compute_salience
-
     salience = compute_salience(alex_context, registry)
     ranked = rank_candidates(
         list(alex.candidates), alex_context, salience, lexicons=lexicons
@@ -321,8 +287,6 @@ def test_filter_excludes_violators(alex, alex_context, registry, lexicons):
 
 
 def test_filter_off_keeps_violators(alex, alex_context, registry, lexicons):
-    from appraisal_explainer import compute_salience
-
     salience = compute_salience(alex_context, registry)
     ranked = rank_candidates(
         list(alex.candidates),
@@ -429,8 +393,6 @@ def test_raising_a_score_never_lowers_rank(data):
 def test_composite_order_invariant_under_weight_scaling(data, scale):
     # Scaling raw weights and renormalizing is a no-op on the L1-normalized
     # profile, so the ranking cannot change.
-    from appraisal_explainer import normalize
-
     raw = {dim: data.draw(st.floats(min_value=0, max_value=5)) for dim in DIMS}
     vectors = [
         _vector(f"c{i}", [data.draw(st.floats(min_value=0, max_value=1)) for _ in range(6)])
@@ -480,6 +442,38 @@ def test_cached_features_score_like_a_fresh_candidate(candidates, first, second,
         assert appraisal_vector(candidate, context, lexicons) == appraisal_vector(fresh, context, lexicons)
 
 
+# Queries from the fixed list, and free word sequences that hit several dimensions at once.
+SALIENCE_QUERIES = st.one_of(
+    QUERIES, st.lists(st.sampled_from(WORD_POOL), min_size=1, max_size=8).map(" ".join)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=random_profiles(), query=SALIENCE_QUERIES)
+def test_salience_weights_are_complete_and_sum_to_one(profile, query, registry, lexicons):
+    # The composite reads all six weights with no fallback.
+    weights = compute_salience(_context(registry, lexicons, profile, query), registry).weights
+    assert weights.keys() == set(DIMS)
+    assert all(math.isfinite(weight) and 0.0 <= weight <= 1.0 for weight in weights.values())
+    assert abs(math.fsum(weights.values()) - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    candidates=random_candidates(), profile=random_profiles(), query=SALIENCE_QUERIES,
+    filter_normative=st.booleans(),
+)
+def test_ranked_records_are_complete(candidates, profile, query, filter_normative, registry, lexicons):
+    # rank_vectors and build_plan index the scores and evidence with no fallback.
+    context = _context(registry, lexicons, profile, query)
+    salience = compute_salience(context, registry)
+    ranked = rank_candidates(candidates, context, salience, lexicons=lexicons, filter_normative=filter_normative)
+    for entry in ranked.entries:
+        assert entry.vector.scores.keys() == entry.vector.evidence.keys() == set(DIMS)
+        assert all(0.0 <= score <= 1.0 for score in entry.vector.scores.values())
+    assert all(exclusion.reason for exclusion in ranked.excluded)
+
+
 @settings(max_examples=60, deadline=None)
 @given(candidates=random_candidates(), profile=random_profiles(), query=QUERIES, data=st.data())
 def test_ranking_ignores_input_order(candidates, profile, query, data, registry, lexicons):
@@ -505,7 +499,7 @@ def test_ranked_composites_are_the_composite_score_in_rank_order(
     salience = compute_salience(context, registry)
     ranked = rank_candidates(candidates, context, salience, lexicons=lexicons, filter_normative=filter_normative)
     for entry in ranked.entries:
-        assert entry.composite == composite_score(entry.vector, salience)
+        assert entry.composite == _composite(entry.vector, salience)
     keys = [(-entry.composite, entry.candidate_id) for entry in ranked.entries]
     assert keys == sorted(keys)
 
@@ -605,9 +599,10 @@ def test_kept_parts_follow_the_lexicons(registry, lexicons):
 # depends on the keys earlier instances of the class have shared.
 _KEPT_PARTS_PROBE = """
 import tracemalloc
-from appraisal_explainer import (
-    Candidate, Query, UserProfile, appraisal_vector, build_unified_context, load_lexicons, load_registry,
-)
+from appraisal_explainer.context import Query, UserProfile, build_unified_context
+from appraisal_explainer.lexicons import load_lexicons
+from appraisal_explainer.registry import load_registry
+from appraisal_explainer.scoring import Candidate, appraisal_vector
 lexicons = load_lexicons()
 context = build_unified_context(UserProfile(user_id="u"), Query(text="dinner"), load_registry(), lexicons)
 candidates = [Candidate(id=f"c{index}", name="Plain dish") for index in range(2000)]
@@ -788,7 +783,7 @@ def _reference_urgency(candidate, context, lexicons):
 
 
 def _reference_goal_relevance(candidate, context, lexicons):
-    goals = context.profile.unique_goals
+    goals = context.profile.goals
     if not goals:
         return 0.0, ()
     terms = candidate.features.terms
@@ -832,7 +827,7 @@ def _reference_constraint_satisfied(constraint, candidate):
 
 
 def _reference_normative(candidate, context, lexicons):
-    constraints = context.profile.unique_constraints
+    constraints = context.profile.dietary_constraints
     if not constraints:
         return 1.0, ("no dietary constraints apply",)
     violations = []
@@ -952,25 +947,6 @@ def test_alternating_contexts_keep_their_own_compiled_checks(registry, lexicons)
             seen.setdefault(candidate.id, []).append(vector)
     for first_vector, second_vector, *_ in seen.values():
         assert all(first_vector.scores[dim] != second_vector.scores[dim] for dim in REFERENCE_SCORERS)
-
-
-@pytest.mark.parametrize(
-    ("no_score", "no_weight", "message"),
-    [
-        (Dimension.NORMATIVE_SIGNIFICANCE, None, "['NormativeSignificance']"),
-        (None, Dimension.URGENCY, "['Urgency']"),
-        (Dimension.GOAL_RELEVANCE, Dimension.AGENCY, "['GoalRelevance', 'Agency']"),
-    ],
-)
-def test_rank_vectors_rejects_an_incomplete_vector_like_composite_score(no_score, no_weight, message):
-    salience = _salience([1 / 6] * 6)
-    salience.weights.pop(no_weight, None)
-    vector = AppraisalVector("c", {dim: 0.5 for dim in DIMS if dim is not no_score}, {})
-    with pytest.raises(IncompleteVector) as composite:
-        composite_score(vector, salience)
-    with pytest.raises(IncompleteVector) as ranked:
-        rank_vectors([vector], _candidates([vector]), salience, filter_normative=False)
-    assert str(ranked.value) == str(composite.value) == f"missing dimensions: {message}"
 
 
 @settings(max_examples=60, deadline=None)

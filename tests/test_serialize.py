@@ -3,15 +3,19 @@ import json
 
 from hypothesis import example, given, settings, strategies as st
 
-from appraisal_explainer import (
+from appraisal_explainer.context import build_unified_context
+from appraisal_explainer.registry import Dimension
+from appraisal_explainer.salience import compute_salience
+from appraisal_explainer.scoring import (
+    Against,
     AppraisalVector,
     Candidate,
-    Dimension,
-    build_unified_context,
-    compute_salience,
+    Exclusion,
+    Neutral,
+    RankedEntry,
+    RankedList,
     rank_candidates,
 )
-from appraisal_explainer.scoring import Against, Exclusion, Neutral, RankedEntry, RankedList
 from appraisal_explainer.serialize import ranking_to_dict, write_ranking_json
 
 # Characters json escapes or passes through unescaped with ensure_ascii=False:
