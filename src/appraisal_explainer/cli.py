@@ -16,7 +16,7 @@ artifacts through ``write_artifacts``.
 ``main`` runs a command with the cyclic garbage collector's automatic
 collections off, and restores the collector's prior state on every exit, so
 a caller that had turned it off keeps it off. The data a command builds (the
-catalog, the candidates' features, the vectors and the entries) holds no
+catalog, the parts each candidate keeps, the vectors and the entries) holds no
 reference cycles and lives until the command ends, so a collection would
 only walk it. A process that owns its own collector policy can call
 ``run_pipeline`` and the other stages directly; none of them touches ``gc``.
@@ -271,7 +271,7 @@ def cmd_explain(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace, cfg: RunConfig) -> int:
-    fixture = load_fixture(args.name)
+    fixture = load_fixture(_require(args.name, "the fixture name"))
     data = load_engine_data(cfg)
     runlog = RunLog()
     result = run_pipeline(

@@ -7,7 +7,6 @@ no stemming) so every downstream count can be recomputed by hand.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import EmptyQuery
@@ -72,8 +71,9 @@ class Immutable:
     A subclass's ``__init__`` stores the fields straight into the instance
     dict, and its ``_key`` returns them in constructor order for ``==``,
     ``hash`` and ``repr``. A per-instance cache is valid because the fields
-    never change; it is stored with ``object.__setattr__`` or a
-    ``cached_property``, which bypass ``__setattr__``.
+    never change. It takes one form: a slot that ``__init__`` sets to None
+    with the fields, so that all instances share one table of keys, and that
+    first use fills with ``object.__setattr__``, which bypasses ``__setattr__``.
     """
 
     __slots__ = ()
@@ -173,17 +173,6 @@ class UserProfile(Immutable):
             dietary_constraints=tuple(record.get("dietary_constraints", ())),
             familiar_items=tuple(record.get("familiar_items", ())),
         )
-
-    # Derived once per profile, not once per scored candidate.
-    @cached_property
-    def goal_tokens(self) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
-        """(goal, first token, other tokens) of each goal that has tokens."""
-        split = ((goal, tokenize(goal)) for goal in self.goals)
-        return tuple((goal, tokens[0], tuple(tokens[1:])) for goal, tokens in split if tokens)
-
-    @cached_property
-    def familiar_set(self) -> frozenset[str]:
-        return frozenset(self.familiar_items)
 
 
 class Query(Immutable):

@@ -19,32 +19,33 @@ The checks split as in Scherer's component process model:
 
 - Intrinsic checks depend only on the candidate and the lexicons, never on
   the profile or the query: Valence (description sentiment), Agency
-  (customization options and tags) and Urgency's keyword part. They are
-  computed on a candidate's first appraisal and kept on the candidate, keyed
-  by the identity of the ``Lexicons`` object, and reused by every later query
-  with the same lexicons; other lexicons recompute and replace them.
+  (customization options and tags) and Urgency's keyword part.
 - Situational checks read the profile or the query: Urgency's time fit, Goal
-  Relevance, Predictability and Normative Significance. What they need of
-  the situation (the goal tokens, the familiar items, each dietary
-  constraint's rule and violation text, the shared evidence of a satisfied
-  diet) is compiled on a context's first appraisal and kept on that
-  ``UnifiedContext``, which is immutable, so it never goes stale and is
-  never shared with another context. It also memoizes the time fit and its
-  evidence, keyed by prep minutes, from a memo that contexts with the same
-  limit share. The candidate-dependent part is scored on every appraisal.
+  Relevance, Predictability and Normative Significance.
 
-A candidate's features (its tokens) are built once and kept on it. A catalog
-repeats its tags and ingredients, so each tag's and ingredient's tokens and
-lower-cased form come from a memo keyed by the string, and each tag list's
-derived tuples from a memo keyed by the list; these and the time-fit memo are
-``lru_cache``s bounded by ``ITEM_MEMO_SIZE`` (4,096) entries. Tag tuples hold
-interned strings, and every candidate that shares a tag list shares them.
+Each side keeps one cache, in a slot its record's ``__init__`` sets to None.
+A candidate's first appraisal fills its ``_parts`` with one flat tuple: the
+tokens the situational checks read and the three intrinsic results. The
+tuple is keyed by the identity of the ``Lexicons`` object; other lexicons
+rebuild and replace it. The description's and tags' tokens are read while it
+is built and not kept. A context's first appraisal fills its
+``_situational`` with the compiled checks: the goals' tokens, the familiar
+items, each dietary constraint's rule and violation text, the evidence of a
+satisfied diet, and the time fit by prep minutes. Records are immutable, so
+neither goes stale; the profile itself keeps nothing derived.
+
+A catalog repeats its tags and ingredients, so each tag's and ingredient's
+tokens and lower-cased form come from a memo keyed by the string, and each
+tag list's derived tuples from a memo keyed by the list; these and the
+time-fit memo are ``lru_cache``s bounded by ``ITEM_MEMO_SIZE`` (4,096)
+entries. Kept tokens are interned strings, and every candidate that shares a
+tag list shares its lower-cased tags.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -105,21 +106,6 @@ def _tag_parts(tags: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...],
     )
 
 
-class CandidateFeatures(NamedTuple):
-    """The query-independent tokens the scorers read, derived once per candidate.
-
-    Tuples of interned strings, not sets: a catalog shares most of its
-    vocabulary, so each candidate keeps only the tuples' pointers.
-    """
-
-    terms: tuple[str, ...]  # unique tokens of name, description and tags
-    tag_tokens: tuple[str, ...]  # unique tokens of the tags
-    item_tokens: tuple[str, ...]  # unique tokens of the tags and ingredients
-    items: tuple[str, ...]  # unique stripped, lower-cased, non-empty tags and ingredients
-    tags_lower: tuple[str, ...]  # unique stripped, lower-cased tags
-    description_tokens: tuple[str, ...]  # tokens of the description, in order
-
-
 class Candidate(Immutable):
     """One recommendable item, e.g. a recipe."""
 
@@ -133,12 +119,9 @@ class Candidate(Immutable):
         tags: tuple[str, ...] = (),
         customization_options: int = 0,
     ):
-        # Stored straight into the instance dict, the same keys in the same
-        # order for every candidate, so all candidates share one table of
-        # keys, which ``features`` joins on first use. ``_intrinsic`` is where
-        # ``_intrinsic_parts`` keeps its cache: stored here, it shares that
-        # table; stored after ``features``, it would cost each candidate a
-        # private dict of about 400 bytes.
+        # The same keys in the same order for every candidate, so all
+        # candidates share one table of keys. ``_parts`` is where
+        # ``_candidate_parts`` keeps its cache.
         fields = self.__dict__
         fields["id"] = id
         fields["name"] = name
@@ -147,7 +130,7 @@ class Candidate(Immutable):
         fields["ingredients"] = ingredients
         fields["tags"] = tags
         fields["customization_options"] = customization_options
-        fields["_intrinsic"] = None
+        fields["_parts"] = None
 
     def _key(self) -> tuple:
         return (
@@ -166,26 +149,6 @@ class Candidate(Immutable):
             ingredients=tuple(record.get("ingredients", ())),
             tags=tuple(record.get("tags", ())),
             customization_options=int(record.get("customization_options", 0)),
-        )
-
-    @cached_property
-    def features(self) -> CandidateFeatures:
-        """Built on first use and kept: the candidate is immutable, so they never go stale.
-
-        The name and description are tokenized here. Each tag and ingredient
-        comes from the ``_item_parts`` memo, and the tag-derived tuples from
-        the ``_tag_parts`` memo, so candidates with equal tags share them.
-        """
-        tag_tokens, tags_lower, tag_items = _tag_parts(self.tags)
-        ingredients = list(map(_item_parts, self.ingredients))
-        description = _interned(tokenize(self.description))
-        return CandidateFeatures(
-            terms=tuple(dict.fromkeys(chain(_interned(tokenize(self.name)), description, tag_tokens))),
-            tag_tokens=tag_tokens,
-            item_tokens=tuple(dict.fromkeys(chain(tag_tokens, *[tokens for tokens, _ in ingredients]))),
-            items=tuple(dict.fromkeys(chain(tag_items, filter(None, [lower for _, lower in ingredients])))),
-            tags_lower=tags_lower,
-            description_tokens=description,
         )
 
 
@@ -219,18 +182,18 @@ def _clamp01(value: float) -> float:
     return 0.0 if value <= 0.0 else 1.0 if value > 1.0 else value
 
 
-def _urgency_keywords(candidate, lexicons):
+def _urgency_keywords(terms, lexicons):
     """Urgency's query-independent part: the keyword share and its evidence, or None."""
-    hits = sorted(lexicons.words_for(Dimension.URGENCY).intersection(candidate.features.terms))
+    hits = sorted(lexicons.words_for(Dimension.URGENCY).intersection(terms))
     if not hits:
         return 0.0, None
     return min(1.0, len(hits) / URGENCY_KEYWORD_SATURATION), "urgency keywords matched: " + ", ".join(hits)
 
 
-def _score_valence(candidate, lexicons):
-    tally = tally_sentiment_tokens(candidate.features.description_tokens, lexicons)
+def _score_valence(description_tokens, lexicons):
+    tally = tally_sentiment_tokens(description_tokens, lexicons)
     pos, neg = tally.positive_hits, tally.negative_hits
-    score = _clamp01(VALENCE_MIDPOINT + 0.5 * (pos - neg) / max(1, pos + neg))
+    score = VALENCE_MIDPOINT + 0.5 * (pos - neg) / max(1, pos + neg)
     if tally.total == 0:
         evidence = _NO_SENTIMENT
     else:
@@ -241,37 +204,49 @@ def _score_valence(candidate, lexicons):
     return score, (evidence,)
 
 
-def _score_agency(candidate, lexicons):
-    hits = sorted(lexicons.words_for(Dimension.AGENCY).intersection(candidate.features.tag_tokens))
-    total = candidate.customization_options + len(hits)
-    score = min(1.0, total / AGENCY_SATURATION)
+def _score_agency(options, tag_tokens, lexicons):
+    hits = sorted(lexicons.words_for(Dimension.AGENCY).intersection(tag_tokens))
+    score = min(1.0, (options + len(hits)) / AGENCY_SATURATION)
     evidence: list[str] = []
-    if candidate.customization_options > 0:
-        plural = "" if candidate.customization_options == 1 else "s"
-        evidence.append(f"{candidate.customization_options} documented customization option{plural}")
+    if options > 0:
+        plural = "" if options == 1 else "s"
+        evidence.append(f"{options} documented customization option{plural}")
     if hits:
         evidence.append("customization tags matched: " + ", ".join(hits))
     return _clamp01(score), tuple(evidence)
 
 
-def _intrinsic_parts(candidate: Candidate, lexicons: Lexicons) -> tuple:
-    """The candidate's lexicon-only parts, computed once per ``lexicons`` and kept.
+def _candidate_parts(candidate: Candidate, lexicons: Lexicons) -> tuple:
+    """What the checks read of the candidate, built on its first appraisal with ``lexicons`` and kept.
 
-    One flat tuple: (lexicons, urgency keyword part, its evidence or None,
-    valence score, valence evidence, agency score, agency evidence). It holds
-    the lexicons themselves, so the identity test cannot match a new object
-    that reuses a freed one's id.
+    One flat tuple: (lexicons, terms, items, tags_lower, item_tokens,
+    urgency keyword part, its evidence or None, valence score, valence
+    evidence, agency score, agency evidence). The terms are the unique tokens
+    of the name, description and tags; the items the unique stripped,
+    lower-cased, non-empty tags and ingredients; the item tokens the unique
+    tokens of the tags and ingredients. Each tag and ingredient comes from
+    the ``_item_parts`` memo and the tag-derived tuples from ``_tag_parts``.
+    The tuple holds the lexicons themselves, so the identity test cannot
+    match a new object that reuses a freed one's id.
     """
-    cached = candidate._intrinsic
-    if cached is None or cached[0] is not lexicons:
-        cached = (
+    parts = candidate._parts
+    if parts is None or parts[0] is not lexicons:
+        tag_tokens, tags_lower, tag_items = _tag_parts(candidate.tags)
+        ingredients = list(map(_item_parts, candidate.ingredients))
+        description = tokenize(candidate.description)
+        terms = _interned(dict.fromkeys(chain(tokenize(candidate.name), description, tag_tokens)))
+        parts = (
             lexicons,
-            *_urgency_keywords(candidate, lexicons),
-            *_score_valence(candidate, lexicons),
-            *_score_agency(candidate, lexicons),
+            terms,
+            tuple(dict.fromkeys(chain(tag_items, filter(None, [lower for _, lower in ingredients])))),
+            tags_lower,
+            tuple(dict.fromkeys(chain(tag_tokens, *[tokens for tokens, _ in ingredients]))),
+            *_urgency_keywords(terms, lexicons),
+            *_score_valence(description, lexicons),
+            *_score_agency(candidate.customization_options, tag_tokens, lexicons),
         )
-        object.__setattr__(candidate, "_intrinsic", cached)
-    return cached
+        object.__setattr__(candidate, "_parts", parts)
+    return parts
 
 
 # Shared by contexts: marked strings are collector-tracked, and new ones per query slowed a query stream.
@@ -325,11 +300,15 @@ class _Situation:
         constraints = profile.dietary_constraints
         self.limit = context.time_constraint_minutes
         self.times: dict[int, tuple[float, tuple[str]]] = {}  # prep minutes -> time fit, evidence
-        # Sorted by goal, so the goals a candidate matches come out sorted.
-        self.goal_tokens = tuple(sorted(profile.goal_tokens))
+        # (goal, first token, other tokens) of each goal that has tokens, sorted
+        # by goal, so the goals a candidate matches come out sorted.
+        split = ((goal, tokenize(goal)) for goal in profile.goals)
+        self.goal_tokens = tuple(sorted(
+            (goal, tokens[0], tuple(tokens[1:])) for goal, tokens in split if tokens
+        ))
         self.goal_firsts = frozenset(first for _, first, _ in self.goal_tokens)
         self.goal_count = len(profile.goals)
-        self.familiar = profile.familiar_set
+        self.familiar = frozenset(profile.familiar_items)
         self.rules = tuple(map(_constraint_rule, constraints))
         if constraints:
             self.satisfied = 1.0, ("satisfies dietary constraints: " + ", ".join(constraints),)
@@ -356,7 +335,7 @@ class _Situation:
         ]
         if not matched:
             return _NO_FINDING
-        return _clamp01(len(matched) / self.goal_count), ("matches your goals: " + ", ".join(matched),)
+        return len(matched) / self.goal_count, ("matches your goals: " + ", ".join(matched),)
 
     def predictability(self, items):
         familiar = self.familiar
@@ -364,10 +343,9 @@ class _Situation:
             return _NO_FINDING
         shared = sorted(familiar.intersection(items))
         union = len(items) + len(familiar) - len(shared)
-        return _clamp01(len(shared) / union), ("shares familiar items: " + ", ".join(shared),)
+        return len(shared) / union, ("shares familiar items: " + ", ".join(shared),)
 
-    def normative(self, features):
-        tags, tokens = features.tags_lower, features.item_tokens
+    def normative(self, tags, tokens):
         violations = ()
         for constraint, banned, violation in self.rules:
             if constraint not in tags and (banned is None or banned in tokens):
@@ -386,20 +364,20 @@ def appraisal_vector(
     lexicons: Lexicons,
 ) -> AppraisalVector:
     """All six dimension scores for one candidate."""
-    _, keyword_part, keyword_evidence, valence, valence_evidence, agency, agency_evidence = (
-        _intrinsic_parts(candidate, lexicons)
-    )
+    (
+        _, terms, items, tags_lower, item_tokens, keyword_part, keyword_evidence,
+        valence, valence_evidence, agency, agency_evidence,
+    ) = _candidate_parts(candidate, lexicons)
     situation = context._situational
     if situation is None:
         situation = _Situation(context)
         object.__setattr__(context, "_situational", situation)
-    features = candidate.features
     urgency, urgency_evidence = situation.urgency(
         candidate.prep_time_minutes, keyword_part, keyword_evidence
     )
-    predictability, predictability_evidence = situation.predictability(features.items)
-    goal, goal_evidence = situation.goal_relevance(features.terms)
-    normative, normative_evidence = situation.normative(features)
+    predictability, predictability_evidence = situation.predictability(items)
+    goal, goal_evidence = situation.goal_relevance(terms)
+    normative, normative_evidence = situation.normative(tags_lower, item_tokens)
     return _new(AppraisalVector, (
         candidate.id,
         {

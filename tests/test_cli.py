@@ -460,6 +460,10 @@ def test_scenario_unknown_lists_fixtures(capsys):
     assert "alex" in err and "sarah" in err
 
 
+def test_scenario_requires_a_fixture_name(capsys):
+    assert _run(capsys, ["scenario"]) == (2, "", "error: the fixture name is required for this command\n")
+
+
 def test_schemas_prints_valid_json_schemas(capsys):
     code, out, _ = _run(capsys, ["schemas"])
     assert code == 0
@@ -864,7 +868,7 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, fixture_files, enabled
 
 
 def test_rank_runs_no_cyclic_collection(capsys, tmp_path):
-    # The catalog, features, vectors and entries hold no cycles: a collection
+    # The catalog, kept parts, vectors and entries hold no cycles: a collection
     # during the command would only walk them.
     profile, candidates = _large_inputs(tmp_path, size=3000)
     argv = [

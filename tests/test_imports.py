@@ -1,4 +1,4 @@
-"""Imports and exceptions of the package: each one used, re-exported or raised for a reason."""
+"""Imports, exceptions and cache slots of the package: each one used, re-exported, raised or pre-set."""
 
 import ast
 from pathlib import Path
@@ -55,3 +55,47 @@ def test_every_reexported_name_is_imported_outside_the_tests():
             if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "appraisal_explainer":
                 imported.update(alias.name for alias in node.names)
     assert sorted(set(appraisal_explainer.__all__) - imported) == []
+
+
+def _preset_slots(tree: ast.Module) -> set[str]:
+    """The names a class's ``__init__`` pre-sets with ``fields["<name>"] = None``."""
+    inits = [
+        node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    return {
+        node.targets[0].slice.value
+        for init in inits
+        for node in ast.walk(init)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Subscript)
+        and isinstance(node.targets[0].value, ast.Name) and node.targets[0].value.id == "fields"
+        and isinstance(node.targets[0].slice, ast.Constant)
+        and isinstance(node.value, ast.Constant) and node.value.value is None
+    }
+
+
+def _late_attributes(tree: ast.Module) -> list[str]:
+    """The names set with ``object.__setattr__(obj, "<name>", value)``."""
+    return [
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+        and len(node.args) == 3 and isinstance(node.args[1], ast.Constant)
+    ]
+
+
+def test_every_cache_slot_is_preset_in_its_class_init():
+    # A name an instance gains after ``__init__`` would cost it a private
+    # dict of about 400 bytes: every record of a class shares one table of
+    # keys only while each sets the same keys in the same order. A
+    # ``cached_property`` adds its name late, so the package uses none.
+    sources = [path.read_text("utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert not any("cached_property" in source for source in sources)
+    trees = list(map(ast.parse, sources))
+    preset = set().union(*map(_preset_slots, trees))
+    late = [name for tree in trees for name in _late_attributes(tree)]
+    assert late
+    assert [name for name in late if name not in preset] == []

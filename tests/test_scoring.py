@@ -1,5 +1,6 @@
 import inspect
 import io
+import json
 import math
 import os
 import random
@@ -436,9 +437,9 @@ def test_cached_features_score_like_a_fresh_candidate(candidates, first, second,
     warm = _context(registry, lexicons, first, queries[0])
     context = _context(registry, lexicons, second, queries[1])
     for candidate in candidates:
-        appraisal_vector(candidate, warm, lexicons)  # builds and keeps the features
+        appraisal_vector(candidate, warm, lexicons)  # builds and keeps the parts
         fresh = _rebuilt(candidate)
-        assert "features" in vars(candidate) and "features" not in vars(fresh)
+        assert candidate._parts is not None and fresh._parts is None
         assert appraisal_vector(candidate, context, lexicons) == appraisal_vector(fresh, context, lexicons)
 
 
@@ -598,7 +599,7 @@ def test_kept_parts_follow_the_lexicons(registry, lexicons):
 # Run in a fresh interpreter: whether a late attribute costs a private dict
 # depends on the keys earlier instances of the class have shared.
 _KEPT_PARTS_PROBE = """
-import tracemalloc
+import json, tracemalloc
 from appraisal_explainer.context import Query, UserProfile, build_unified_context
 from appraisal_explainer.lexicons import load_lexicons
 from appraisal_explainer.registry import load_registry
@@ -606,25 +607,28 @@ from appraisal_explainer.scoring import Candidate, appraisal_vector
 lexicons = load_lexicons()
 context = build_unified_context(UserProfile(user_id="u"), Query(text="dinner"), load_registry(), lexicons)
 candidates = [Candidate(id=f"c{index}", name="Plain dish") for index in range(2000)]
-for candidate in candidates:
-    candidate.features
+keys = [list(vars(candidate)) for candidate in candidates]
 tracemalloc.start()
 before = tracemalloc.get_traced_memory()[0]
 for candidate in candidates:
     appraisal_vector(candidate, context, lexicons)
-print((tracemalloc.get_traced_memory()[0] - before) / len(candidates))
+retained = (tracemalloc.get_traced_memory()[0] - before) / len(candidates)
+print(json.dumps({"retained": retained, "same_keys": keys == [list(vars(c)) for c in candidates]}))
 """
 
 
 def test_kept_parts_retain_little_memory():
-    # Plain candidates: the kept tuple, one evidence tuple and two floats are
-    # about 190 bytes. An attribute added after ``features`` has materialized
-    # the instance dict would add a private dict of about 400 bytes.
+    # Everything a plain candidate keeps after its first appraisal: the kept
+    # tuple, its terms, one evidence tuple and a float, about 260 bytes. An
+    # attribute that ``__init__`` does not set would add a private dict of
+    # about 400 bytes.
     done = subprocess.run(
         [sys.executable, "-c", _KEPT_PARTS_PROBE], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(scoring.__file__).parents[1])},
     )
-    assert float(done.stdout) <= 320
+    probe = json.loads(done.stdout)
+    assert probe["same_keys"]
+    assert probe["retained"] <= 288
 
 
 @settings(max_examples=60, deadline=None)
@@ -667,22 +671,29 @@ def test_run_pipeline_scores_through_the_module_global(monkeypatch, alex):
     assert scored == [candidate.id for candidate in alex.candidates]
 
 
-# Each field tokenized on its own, item by item: the derivation the
-# single-pass features must reproduce.
-def _reference_features(candidate):
-    def unique_tokens(texts):
-        return tuple(dict.fromkeys(token for text in texts for token in tokenize(text)))
+def _unique_tokens(texts):
+    return tuple(dict.fromkeys(token for text in texts for token in tokenize(text)))
 
+
+def _terms(candidate):
+    return _unique_tokens((candidate.name, candidate.description, *candidate.tags))
+
+
+# Each field tokenized on its own, item by item: the derivation the kept
+# token tuples (terms, items, tags_lower, item_tokens) must reproduce.
+def _reference_tokens(candidate):
     tags, values = candidate.tags, candidate.tags + candidate.ingredients
     cleaned = (value.strip().lower() for value in values)
-    return scoring.CandidateFeatures(
-        terms=unique_tokens((candidate.name, candidate.description, *tags)),
-        tag_tokens=unique_tokens(tags),
-        item_tokens=unique_tokens(values),
-        items=tuple(dict.fromkeys(value for value in cleaned if value)),
-        tags_lower=tuple(dict.fromkeys(tag.strip().lower() for tag in tags)),
-        description_tokens=tuple(tokenize(candidate.description)),
+    return (
+        _terms(candidate),
+        tuple(dict.fromkeys(value for value in cleaned if value)),
+        tuple(dict.fromkeys(tag.strip().lower() for tag in tags)),
+        _unique_tokens(values),
     )
+
+
+def _kept_tokens(candidate, lexicons):
+    return scoring._candidate_parts(candidate, lexicons)[1:5]
 
 
 # Hyphens, punctuation and whitespace split tokens; U+0130 and the Kelvin sign
@@ -699,17 +710,17 @@ FIELD_TEXT = st.one_of(
     tags=st.lists(FIELD_TEXT, max_size=4), ingredients=st.lists(FIELD_TEXT, max_size=4),
 )
 @example(name="", description="", tags=["gluten-free", "no-nuts"], ingredients=["\u0130", "\u212a", " "])
-def test_features_match_a_per_item_derivation(name, description, tags, ingredients):
+def test_features_match_a_per_item_derivation(name, description, tags, ingredients, lexicons):
     candidate = Candidate(
         id="c", name=name, description=description, tags=tuple(tags), ingredients=tuple(ingredients)
     )
-    features = candidate.features
-    assert features == _reference_features(candidate)
-    # An equal, new string interns to the very string the features keep.
-    assert all(sys.intern((value + ".")[:-1]) is value for field in features for value in field)
+    kept = _kept_tokens(candidate, lexicons)
+    assert kept == _reference_tokens(candidate)
+    # An equal, new string interns to the very string the candidate keeps.
+    assert all(sys.intern((value + ".")[:-1]) is value for field in kept for value in field)
 
 
-def test_features_retain_little_memory():
+def test_features_retain_little_memory(lexicons):
     rng = random.Random(7)
     candidates = [
         Candidate(
@@ -725,25 +736,25 @@ def test_features_retain_little_memory():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for candidate in candidates:
-            candidate.features
+            scoring._candidate_parts(candidate, lexicons)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert retained / len(candidates) <= 1536
 
 
-def test_item_memos_stay_within_their_bound():
+def test_item_memos_stay_within_their_bound(lexicons):
     # Distinct tags, tag lists and ingredients, more of each than the bound.
     overflow = scoring.ITEM_MEMO_SIZE + 10
     for index in range(overflow):
-        Candidate(
+        scoring._candidate_parts(Candidate(
             id=f"c{index}", name="Dish", tags=(f"tag {index}",), ingredients=(f"ingredient {index}",)
-        ).features
+        ), lexicons)
     assert scoring._item_parts.cache_info().currsize <= scoring.ITEM_MEMO_SIZE
     assert scoring._tag_parts.cache_info().currsize <= scoring.ITEM_MEMO_SIZE
 
 
-def test_candidates_with_equal_tags_share_their_tag_tuples():
+def test_candidates_with_equal_tags_share_their_tag_tuples(lexicons):
     # Equal tags built as distinct string objects, on candidates that differ otherwise.
     first, second = (
         Candidate(
@@ -753,15 +764,20 @@ def test_candidates_with_equal_tags_share_their_tag_tuples():
         for index in range(2)
     )
     assert first.tags == second.tags and first.tags[0] is not second.tags[0]
-    assert first.features.tag_tokens is second.features.tag_tokens
-    assert first.features.tags_lower is second.features.tags_lower
-    assert first.features.item_tokens != second.features.item_tokens
+    (_, _, first_tags, first_tokens), (_, _, second_tags, second_tokens) = (
+        _kept_tokens(candidate, lexicons) for candidate in (first, second)
+    )
+    assert first_tags is second_tags
+    assert first_tokens != second_tokens
 
 
-# The four situational scorers derived afresh for each candidate, nothing
-# kept per context: the results the compiled checks must reproduce.
+# The four situational scorers derived afresh for each candidate from the
+# candidate's and profile's own fields, nothing kept per candidate or per
+# context: the results the compiled checks must reproduce.
 def _reference_urgency(candidate, context, lexicons):
-    keyword_part, keyword_evidence = scoring._urgency_keywords(candidate, lexicons)
+    hits = sorted(lexicons.words_for(Dimension.URGENCY).intersection(_terms(candidate)))
+    keyword_part = min(1.0, len(hits) / scoring.URGENCY_KEYWORD_SATURATION)
+    keyword_evidence = "urgency keywords matched: " + ", ".join(hits) if hits else None
     limit = context.time_constraint_minutes
     prep = candidate.prep_time_minutes
     if limit is None:
@@ -786,10 +802,9 @@ def _reference_goal_relevance(candidate, context, lexicons):
     goals = context.profile.goals
     if not goals:
         return 0.0, ()
-    terms = candidate.features.terms
+    terms = _terms(candidate)
     matched = sorted(
-        goal for goal, first, rest in context.profile.goal_tokens
-        if first in terms and (not rest or all(token in terms for token in rest))
+        goal for goal in goals if tokenize(goal) and all(token in terms for token in tokenize(goal))
     )
     score = scoring._clamp01(len(matched) / max(1, len(goals)))
     if not matched:
@@ -798,8 +813,8 @@ def _reference_goal_relevance(candidate, context, lexicons):
 
 
 def _reference_predictability(candidate, context, lexicons):
-    items = candidate.features.items
-    familiar = context.profile.familiar_set
+    items = _reference_tokens(candidate)[1]
+    familiar = frozenset(context.profile.familiar_items)
     shared = sorted(familiar.intersection(items))
     union = len(items) + len(familiar) - len(shared)
     if not union:
@@ -811,8 +826,8 @@ def _reference_predictability(candidate, context, lexicons):
 
 
 def _reference_constraint_satisfied(constraint, candidate):
-    features = candidate.features
-    if constraint in features.tags_lower:
+    _, _, tags_lower, item_tokens = _reference_tokens(candidate)
+    if constraint in tags_lower:
         return True, ""
     banned = None
     if constraint.startswith("no-"):
@@ -820,7 +835,7 @@ def _reference_constraint_satisfied(constraint, candidate):
     elif constraint.endswith("-free"):
         banned = constraint[: -len("-free")]
     if banned:
-        if banned in features.item_tokens:
+        if banned in item_tokens:
             return False, f"contains {banned}"
         return True, ""
     return False, f"not tagged {constraint}"
