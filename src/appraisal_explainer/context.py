@@ -19,10 +19,10 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # Recognized duration forms: "<N> minutes", "<N> min(s)", "<N>-minute",
 # "<N> hour(s)", "<N>-hour", "half an hour" (30), "quarter of an hour" (15)
-# and "an hour" (60). First match in text order wins.
+# and "an hour" (60). <N> may have decimals, rounded down to whole minutes, as
+# prep times are: "1.5 hours" is 90 and "2.5 min" is 2. First match in text order wins.
 _DURATION_RE = re.compile(
-    r"(\d+)\s*-?\s*min(?:ute)?s?\b"
-    r"|(\d+)\s*-?\s*hours?\b"
+    r"(\d+)(?:\.(\d+))?\s*-?\s*(?:(min)(?:ute)?s?|hours?)\b"
     r"|\bhalf\s+an\s+hour\b"
     r"|\bquarter\s+of\s+an\s+hour\b"
     r"|\ban\s+hour\b",
@@ -50,8 +50,7 @@ def parse_time_constraint(text: str) -> int | None:
     if not text:
         return None
     for match in _DURATION_RE.finditer(text):
-        minutes_digits, hours_digits = match.groups()
-        digits = minutes_digits or hours_digits
+        digits, fraction, per_minute = match.groups()
         if digits is None:
             return _WORDED_MINUTES[match.group(0).split()[0].lower()]
         # A nonzero digit before the last four makes the run 10,000 or more:
@@ -59,7 +58,10 @@ def parse_time_constraint(text: str) -> int | None:
         # runs of over 4,300 digits.
         if any(map(int, digits[:-4])):
             continue
-        minutes = int(digits[-4:]) * (1 if minutes_digits else 60)
+        minutes = int(digits[-4:]) * (1 if per_minute else 60)
+        if fraction and not per_minute:  # exact at any length; imported only for an amount with decimals
+            from decimal import Context, Decimal
+            minutes += int(Context(prec=len(fraction) + 2).multiply(Decimal("0." + fraction), 60))
         if 1 <= minutes <= MAX_CONSTRAINT_MINUTES:
             return minutes
     return None

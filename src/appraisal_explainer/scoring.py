@@ -3,11 +3,13 @@
 Every dimension score lands in [0, 1] and every nonzero score carries at
 least one human-readable evidence string; the explanation stage quotes the
 evidence verbatim. A composite is one left-to-right expression,
-``w0 * s0 + ... + w5 * s5`` in the fixed dimension order, compiled once per
-ranking with the six weights read once, so results are bit-reproducible. It
-is not a compensated sum (``math.fsum``, or ``sum()`` of floats from Python
-3.12 on): that can change a composite's last bit, and so a ranking's order
-and bytes, from one supported Python to the next.
+``w0 * s0 + ... + w5 * s5`` in the fixed dimension order, computed in the
+ranking loop from the six weights read once per ranking, so results are
+bit-reproducible. It is not a compensated sum (``math.fsum``, or ``sum()`` of
+floats from Python 3.12 on): that can change a composite's last bit, and so a
+ranking's order and bytes, from one supported Python to the next. Exclusion
+is decided before appraisal: with the normative filter on, a candidate whose
+tags and ingredients violate a dietary constraint is never appraised.
 
 Each evidence string carries its stance, decided here and nowhere else: a
 plain ``str`` counts for the candidate; an ``Against`` counts against it (a
@@ -24,11 +26,11 @@ The checks split as in Scherer's component process model:
   Relevance, Predictability and Normative Significance.
 
 Each side keeps one cache, in a slot its record's ``__init__`` sets to None.
-A candidate's first appraisal fills its ``_parts`` with one flat tuple: the
-tokens the situational checks read and the three intrinsic results. The
-tuple is keyed by the identity of the ``Lexicons`` object; other lexicons
-rebuild and replace it. The description's and tags' tokens are read while it
-is built and not kept. A context's first appraisal fills its
+A candidate's ``_parts`` is filled for its first appraisal with one flat
+tuple: the tokens the situational checks read and the three intrinsic
+results. The tuple is keyed by the identity of the ``Lexicons`` object;
+other lexicons rebuild and replace it. The description's and tags' tokens
+are read while it is built and not kept. A context's first use fills its
 ``_situational`` with the compiled checks: the goals' tokens, the familiar
 items, each dietary constraint's rule and violation text, the evidence of a
 satisfied diet, and the time fit by prep minutes. Records are immutable, so
@@ -47,6 +49,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .context import Immutable, UnifiedContext, minutes_text, tally_sentiment_tokens, tokenize
@@ -216,31 +219,39 @@ def _score_agency(options, tag_tokens, lexicons):
     return _clamp01(score), tuple(evidence)
 
 
-def _candidate_parts(candidate: Candidate, lexicons: Lexicons) -> tuple:
-    """What the checks read of the candidate, built on its first appraisal with ``lexicons`` and kept.
+def _item_fields(candidate: Candidate) -> tuple:
+    """(tag tokens, tags_lower, items, item_tokens) of the candidate's tags and ingredients.
+
+    Items are the unique stripped, lower-cased, non-empty tags and ingredients,
+    from the ``_item_parts`` and ``_tag_parts`` memos, and item tokens their unique tokens.
+    """
+    tag_tokens, tags_lower, tag_items = _tag_parts(candidate.tags)
+    ingredients = list(map(_item_parts, candidate.ingredients))
+    return (
+        tag_tokens, tags_lower,
+        tuple(dict.fromkeys(chain(tag_items, filter(None, [lower for _, lower in ingredients])))),
+        tuple(dict.fromkeys(chain(tag_tokens, *[tokens for tokens, _ in ingredients]))),
+    )
+
+
+def _candidate_parts(candidate: Candidate, lexicons: Lexicons, fields: tuple | None = None) -> tuple:
+    """What the checks read of the candidate, built for its first appraisal with ``lexicons`` and kept.
 
     One flat tuple: (lexicons, terms, items, tags_lower, item_tokens,
     urgency keyword part, its evidence or None, valence score, valence
     evidence, agency score, agency evidence). The terms are the unique tokens
-    of the name, description and tags; the items the unique stripped,
-    lower-cased, non-empty tags and ingredients; the item tokens the unique
-    tokens of the tags and ingredients. Each tag and ingredient comes from
-    the ``_item_parts`` memo and the tag-derived tuples from ``_tag_parts``.
-    The tuple holds the lexicons themselves, so the identity test cannot
-    match a new object that reuses a freed one's id.
+    of the name, description and tags; ``fields`` are the candidate's
+    ``_item_fields``, if the caller has them. The tuple holds the lexicons
+    themselves, so the identity test cannot match a new object that reuses a
+    freed one's id.
     """
     parts = candidate._parts
     if parts is None or parts[0] is not lexicons:
-        tag_tokens, tags_lower, tag_items = _tag_parts(candidate.tags)
-        ingredients = list(map(_item_parts, candidate.ingredients))
+        tag_tokens, tags_lower, items, item_tokens = fields or _item_fields(candidate)
         description = tokenize(candidate.description)
         terms = _interned(dict.fromkeys(chain(tokenize(candidate.name), description, tag_tokens)))
         parts = (
-            lexicons,
-            terms,
-            tuple(dict.fromkeys(chain(tag_items, filter(None, [lower for _, lower in ingredients])))),
-            tags_lower,
-            tuple(dict.fromkeys(chain(tag_tokens, *[tokens for tokens, _ in ingredients]))),
+            lexicons, terms, items, tags_lower, item_tokens,
             *_urgency_keywords(terms, lexicons),
             *_score_valence(description, lexicons),
             *_score_agency(candidate.customization_options, tag_tokens, lexicons),
@@ -353,6 +364,13 @@ class _Situation:
         return (0.0, violations) if violations else self.satisfied
 
 
+def _situation(context: UnifiedContext) -> _Situation:
+    """The context's compiled checks, built on first use and kept in its ``_situational``."""
+    if context._situational is None:
+        object.__setattr__(context, "_situational", _Situation(context))
+    return context._situational
+
+
 _PREDICTABILITY, _GOAL, _VALENCE, _URGENCY, _AGENCY, _NORMATIVE = DIMENSIONS
 # Hot-loop records are built with tuple.__new__, which skips the generated __new__: 250 against 590 ns.
 _new = tuple.__new__
@@ -368,10 +386,7 @@ def appraisal_vector(
         _, terms, items, tags_lower, item_tokens, keyword_part, keyword_evidence,
         valence, valence_evidence, agency, agency_evidence,
     ) = _candidate_parts(candidate, lexicons)
-    situation = context._situational
-    if situation is None:
-        situation = _Situation(context)
-        object.__setattr__(context, "_situational", situation)
+    situation = context._situational or _situation(context)
     urgency, urgency_evidence = situation.urgency(
         candidate.prep_time_minutes, keyword_part, keyword_evidence
     )
@@ -392,46 +407,30 @@ def appraisal_vector(
     ))
 
 
-def _composite(salience: SalienceProfile):
-    """Read the six weights once; return the function that gives a scores dict's composite.
-
-    One left-to-right sum in ``DIMENSIONS`` order, clamped to [0, 1]: weights that sum
-    to 1 can add up to just above it (0.4 + 0.2 + 0.3 + 0.1 is 1.0000000000000002).
-    """
-    w0, w1, w2, w3, w4, w5 = [salience.weights[dim] for dim in DIMENSIONS]
-
-    def composite(scores):
-        return _clamp01(
-            w0 * scores[_PREDICTABILITY] + w1 * scores[_GOAL] + w2 * scores[_VALENCE]
-            + w3 * scores[_URGENCY] + w4 * scores[_AGENCY] + w5 * scores[_NORMATIVE]
-        )
-
-    return composite
-
-
 def rank_vectors(
     vectors: list[AppraisalVector],
     candidates: list[Candidate],
     salience: SalienceProfile,
-    filter_normative: bool = True,
 ) -> RankedList:
-    """Rank precomputed vectors: filter normative violations, sort by composite.
+    """Rank precomputed vectors by composite; the excluded list is empty.
 
-    ``candidates[i]`` is the candidate ``vectors[i]`` scores. Entries sort by
-    composite descending with candidate id as the tie-break; the excluded
-    list keeps input order.
+    ``candidates[i]`` is the candidate ``vectors[i]`` scores. A composite is
+    clamped to [0, 1]: weights that sum to 1 can add up to just above it
+    (0.4 + 0.2 + 0.3 + 0.1 is 1.0000000000000002). Entries sort by composite
+    descending, ties by candidate id: a sort by id, then a stable reverse sort.
     """
-    composite = _composite(salience)
+    w0, w1, w2, w3, w4, w5 = [salience.weights[dim] for dim in DIMENSIONS]
     entries: list[RankedEntry] = []
-    excluded: list[Exclusion] = []
     for vector, candidate in zip(vectors, candidates, strict=True):
-        candidate_id, scores, evidence = vector
-        if filter_normative and scores[_NORMATIVE] == 0.0:
-            excluded.append(_new(Exclusion, (candidate_id, "; ".join(evidence[_NORMATIVE]))))
-            continue
-        entries.append(_new(RankedEntry, (candidate_id, composite(scores), vector, candidate)))
-    entries.sort(key=lambda entry: (-entry.composite, entry.candidate_id))
-    return RankedList(entries=tuple(entries), excluded=tuple(excluded))
+        scores = vector[1]
+        composite = _clamp01(
+            w0 * scores[_PREDICTABILITY] + w1 * scores[_GOAL] + w2 * scores[_VALENCE]
+            + w3 * scores[_URGENCY] + w4 * scores[_AGENCY] + w5 * scores[_NORMATIVE]
+        )
+        entries.append(_new(RankedEntry, (vector[0], composite, vector, candidate)))
+    entries.sort(key=itemgetter(0))
+    entries.sort(key=itemgetter(1), reverse=True)
+    return RankedList(entries=tuple(entries), excluded=())
 
 
 def rank_candidates(
@@ -442,7 +441,12 @@ def rank_candidates(
     lexicons: Lexicons,
     filter_normative: bool = True,
 ) -> RankedList:
-    """Score and rank a candidate set against the context and salience profile."""
+    """Score and rank a candidate set against the context and salience profile.
+
+    With ``filter_normative``, a candidate whose tags and ingredients violate
+    a dietary constraint becomes an ``Exclusion``, in input order, and is
+    never appraised, so its name and description are never tokenized.
+    """
     if not candidates:
         raise NoCandidates("candidate set is empty")
     ids = [candidate.id for candidate in candidates]
@@ -452,5 +456,18 @@ def rank_candidates(
             if id in seen:
                 raise DuplicateCandidate(f"duplicate candidate id: {id!r}")
             seen.add(id)
-    vectors = [appraisal_vector(candidate, context, lexicons) for candidate in candidates]
-    return rank_vectors(vectors, candidates, salience, filter_normative=filter_normative)
+    appraised, excluded = candidates, []
+    if filter_normative:
+        normative, appraised = _situation(context).normative, []
+        for candidate in candidates:
+            parts = candidate._parts
+            fields = _item_fields(candidate) if parts is None else None
+            score, evidence = normative(fields[1], fields[3]) if fields else normative(parts[3], parts[4])
+            if score == 0.0:
+                excluded.append(_new(Exclusion, (candidate.id, "; ".join(evidence))))
+                continue
+            if fields:  # kept for its appraisal, so the fields are derived once
+                _candidate_parts(candidate, lexicons, fields)
+            appraised.append(candidate)
+    vectors = [appraisal_vector(candidate, context, lexicons) for candidate in appraised]
+    return RankedList(rank_vectors(vectors, appraised, salience).entries, tuple(excluded))

@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from appraisal_explainer import cli, compute_salience, pipeline, serialize
+from appraisal_explainer import cli, compute_salience, pipeline, scoring, serialize
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -24,24 +24,34 @@ def test_traced_bench_patches_apply_and_restore(monkeypatch):
 def test_traced_rank_times_one_vector_per_candidate(monkeypatch, alex, alex_context, registry, lexicons):
     # The traced scoring.vector_us_per_cand divides the time of the spans
     # around scoring.appraisal_vector by their count: rank_candidates must
-    # call that module-level name once per candidate, inside the rank span.
+    # call that module-level name once per appraised candidate, inside the
+    # rank span. With the normative filter on, that is once per ranked entry
+    # and never for an excluded candidate; with it off, once per candidate.
     # scoring.rank_vectors_ms times the module-level scoring.rank_vectors,
     # which rank_candidates must call once, inside the same span.
     monkeypatch.syspath_prepend(str(BENCH))
     import run
     import spans
 
-    tracer = spans.Tracer()
     candidates = list(alex.candidates)
     salience = compute_salience(alex_context, registry)
-    with spans.patched(run.tracing_patches(tracer)):
-        pipeline.rank_candidates(candidates, alex_context, salience, lexicons=lexicons)
-    names = [name for name, *_ in tracer.spans]
-    assert names.count("scoring.rank") == 1
-    assert names.count("scoring.vector") == len(candidates)
-    assert names.count("scoring.rank_vectors") == 1
-    rank = names.index("scoring.rank")
-    assert all(
-        parent == rank for name, _, _, parent, _ in tracer.spans
-        if name in ("scoring.vector", "scoring.rank_vectors")
-    )
+    for filter_normative in (True, False):
+        tracer, appraised = spans.Tracer(), []
+        with spans.patched(run.tracing_patches(tracer)):
+            traced = scoring.appraisal_vector
+
+            def recorded(candidate, *args, **kwargs):
+                appraised.append(candidate.id)
+                return traced(candidate, *args, **kwargs)
+
+            with spans.patched([(scoring, "appraisal_vector", recorded)]):
+                ranked = pipeline.rank_candidates(
+                    candidates, alex_context, salience, lexicons=lexicons, filter_normative=filter_normative
+                )
+        excluded = [exclusion.candidate_id for exclusion in ranked.excluded]
+        assert excluded == (["pepperoni-pizza"] if filter_normative else [])
+        assert appraised == [candidate.id for candidate in candidates if candidate.id not in excluded]
+        assert sorted(appraised) == sorted(entry.candidate_id for entry in ranked.entries)
+        names = [name for name, *_ in tracer.spans]
+        assert names == ["scoring.rank", *["scoring.vector"] * len(appraised), "scoring.rank_vectors"]
+        assert all(parent == 0 for _, _, _, parent, _ in tracer.spans[1:])

@@ -1,4 +1,6 @@
+import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,12 +20,14 @@ from appraisal_explainer.scoring import Candidate, rank_candidates
 
 
 # Independent oracle for the duration grammar: each form scanned separately,
-# earliest valid match in text order wins.
+# earliest valid match in text order wins; an amount with decimals is
+# converted exactly and rounded down to whole minutes.
 def _oracle_time(text):
     found = []
-    for pattern, per_unit in ((r"(\d+)\s*-?\s*min(?:ute)?s?\b", 1), (r"(\d+)\s*-?\s*hours?\b", 60)):
+    amount = r"(\d+(?:\.\d+)?)\s*-?\s*"
+    for pattern, per_unit in ((amount + r"min(?:ute)?s?\b", 1), (amount + r"hours?\b", 60)):
         for match in re.finditer(pattern, text, re.IGNORECASE):
-            minutes = int(match.group(1)) * per_unit
+            minutes = math.floor(Fraction(match.group(1)) * per_unit)
             if 1 <= minutes <= 1440:
                 found.append((match.start(), minutes))
     for match in re.finditer(r"\bhalf\s+an\s+hour\b", text, re.IGNORECASE):
@@ -62,6 +66,11 @@ def _oracle_time(text):
         ("24 hours", 1440),
         ("25 hours, or 90 minutes", 90),
         ("0 hours", None),
+        ("I have 1.5 hours", 90),
+        ("about 0.5 hours", 30),
+        ("ready in 2.5 min", 2),
+        ("0.5 min is too short, 0.25 hours", 15),
+        ("24.02 hours, or 1.75-hour", 105),
     ],
 )
 def test_parse_time_constraint_cases(text, expected):
@@ -77,6 +86,7 @@ def test_parse_time_constraint_cases(text, expected):
         ("0" * 5000 + "30 minutes", 30),
         ("9" * 5000 + " hours", None),
         ("0" * 5000 + "2 hours", 120),
+        ("1." + "9" * 5000 + " hours", 119),
     ],
 )
 def test_parse_time_constraint_skips_long_digit_runs(text, expected):

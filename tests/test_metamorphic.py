@@ -1,0 +1,98 @@
+"""Metamorphic relations: how the output must change, or stay the same, when the input changes in a known way.
+
+Inputs come from the benchmark's generator (``bench/gen.py``): its word
+lists and the bundled lexicons' words, drawn by a seeded ``random.Random``,
+so no relation needs a hand-written expectation.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from appraisal_explainer.context import Query, UserProfile, build_unified_context, tokenize
+from appraisal_explainer.registry import Dimension
+from appraisal_explainer.salience import compute_salience
+from appraisal_explainer.scoring import Candidate, appraisal_vector, rank_candidates
+
+_spec = importlib.util.spec_from_file_location("gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+KEYWORDS, SENTIMENT = gen.load_word_lists()
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+CATALOG_SIZE = 100
+
+# The generator's own constraints and tags, and "no-<word>" / "<word>-free"
+# for each word of its ingredients, mains and bases.
+_WORDS = sorted({token for text in gen.INGREDIENTS + gen.MAINS + gen.BASES for token in tokenize(text)})
+CONSTRAINTS = st.one_of(
+    st.sampled_from(sorted({c for mix in gen.CONSTRAINT_MIX for c in mix} | set(gen.TAGS))),
+    st.sampled_from(_WORDS).map("no-{}".format),
+    st.sampled_from(_WORDS).map("{}-free".format),
+)
+
+
+def _catalog(rng):
+    return [Candidate.from_dict(doc) for doc in gen.catalog(rng, CATALOG_SIZE, KEYWORDS, SENTIMENT)]
+
+
+def _profile(rng, constraints):
+    return UserProfile.from_dict(gen.profile(rng, "u", constraints, KEYWORDS, SENTIMENT))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, constraints=st.lists(CONSTRAINTS, max_size=2), added=CONSTRAINTS)
+def test_adding_a_dietary_constraint_never_readmits_an_excluded_candidate(
+    seed, constraints, added, registry, lexicons
+):
+    rng = random.Random(seed)
+    catalog = _catalog(rng)
+    profile = gen.profile(rng, "u", constraints, KEYWORDS, SENTIMENT)
+    query = Query(gen.query(rng, KEYWORDS, SENTIMENT, rng.random() < 0.5))
+
+    def excluded(constraints):
+        record = {**profile, "dietary_constraints": constraints}
+        context = build_unified_context(UserProfile.from_dict(record), query, registry, lexicons)
+        ranked = rank_candidates(catalog, context, compute_salience(context, registry), lexicons=lexicons)
+        return {exclusion.candidate_id for exclusion in ranked.excluded}
+
+    assert excluded(constraints) <= excluded([*constraints, added])
+
+
+LIMITS = st.one_of(st.integers(min_value=1, max_value=120), st.integers(min_value=1, max_value=1440))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=SEEDS, limits=st.lists(LIMITS, min_size=2, max_size=2, unique=True).map(sorted),
+    form=st.sampled_from(["I have {} minutes", "ready in {} min", "a {}-minute meal"]),
+)
+def test_raising_the_time_limit_never_lowers_urgency(seed, limits, form, registry, lexicons):
+    rng = random.Random(seed)
+    catalog, profile = _catalog(rng), _profile(rng, rng.choice(gen.CONSTRAINT_MIX))
+    text = gen.query(rng, KEYWORDS, SENTIMENT, False)
+    urgency = []
+    for limit in limits:
+        context = build_unified_context(profile, Query(f"{text} {form.format(limit)}."), registry, lexicons)
+        assert context.time_constraint_minutes == limit
+        vectors = [appraisal_vector(candidate, context, lexicons) for candidate in catalog]
+        urgency.append([vector.scores[Dimension.URGENCY] for vector in vectors])
+    shorter, longer = urgency
+    assert all(low <= high for low, high in zip(shorter, longer))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS)
+def test_synonymous_durations_give_the_same_context(seed, registry, lexicons):
+    rng = random.Random(seed)
+    profile = _profile(rng, rng.choice(gen.CONSTRAINT_MIX))
+    text = gen.query(rng, KEYWORDS, SENTIMENT, False)
+    derived = []
+    for duration in ("30 minutes", "half an hour", "0.5 hours"):
+        context = build_unified_context(profile, Query(f"{text} Ready in {duration}."), registry, lexicons)
+        salience = compute_salience(context, registry)
+        derived.append((context.time_constraint_minutes, context.sentiment, context.keyword_hits, salience))
+    assert derived[0][0] == 30
+    assert derived[1] == derived[0] and derived[2] == derived[0]

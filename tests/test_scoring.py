@@ -184,7 +184,7 @@ def _candidates(vectors):
 
 def _composite(vector, salience):
     """The composite ``rank_vectors`` gives ``vector`` under ``salience``."""
-    [entry] = rank_vectors([vector], _candidates([vector]), salience, filter_normative=False).entries
+    [entry] = rank_vectors([vector], _candidates([vector]), salience).entries
     return entry.composite
 
 
@@ -263,6 +263,21 @@ def test_rank_tie_breaks_by_id():
     vectors = [_vector("zeta", [0.5] * 6), _vector("alpha", [0.5] * 6)]
     ranked = rank_vectors(vectors, _candidates(vectors), salience)
     assert [entry.candidate_id for entry in ranked.entries] == ["alpha", "zeta"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rank_order_is_descending_composite_then_id_on_tie_heavy_vectors(data):
+    # Few score and weight values make equal composites common, and ids come
+    # in shuffled order, so input order cannot pass for the id tie-break.
+    level = st.sampled_from([0.0, 0.5, 1.0])
+    count = data.draw(st.integers(min_value=1, max_value=12))
+    ids = data.draw(st.permutations([f"c{index:02d}" for index in range(count)]))
+    vectors = [_vector(id, data.draw(st.lists(level, min_size=6, max_size=6))) for id in ids]
+    salience = _salience(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=6, max_size=6)))
+    ranked = rank_vectors(vectors, _candidates(vectors), salience)
+    assert sorted(entry.candidate_id for entry in ranked.entries) == sorted(ids)
+    assert list(ranked.entries) == sorted(ranked.entries, key=lambda e: (-e.composite, e.candidate_id))
 
 
 def test_rank_empty_rejected(sarah_context, lexicons):
@@ -373,7 +388,7 @@ def test_raising_a_score_never_lowers_rank(data):
     dim = data.draw(st.sampled_from(DIMS))
     bump = data.draw(st.floats(min_value=0.01, max_value=1.0))
 
-    before = rank_vectors(vectors, _candidates(vectors), salience, filter_normative=False)
+    before = rank_vectors(vectors, _candidates(vectors), salience)
     target_id = vectors[target].candidate_id
     rank_before = [e.candidate_id for e in before.entries].index(target_id)
 
@@ -384,7 +399,7 @@ def test_raising_a_score_never_lowers_rank(data):
         scores=new_scores,
         evidence=vectors[target].evidence,
     )
-    after = rank_vectors(vectors, _candidates(vectors), salience, filter_normative=False)
+    after = rank_vectors(vectors, _candidates(vectors), salience)
     rank_after = [e.candidate_id for e in after.entries].index(target_id)
     assert rank_after <= rank_before
 
@@ -402,12 +417,8 @@ def test_composite_order_invariant_under_weight_scaling(data, scale):
     base_weights = normalize(raw)
     scaled_weights = normalize({dim: value * scale for dim, value in raw.items()})
     candidates = _candidates(vectors)
-    base = rank_vectors(
-        vectors, candidates, _salience([base_weights[d] for d in DIMS]), filter_normative=False
-    )
-    scaled = rank_vectors(
-        vectors, candidates, _salience([scaled_weights[d] for d in DIMS]), filter_normative=False
-    )
+    base = rank_vectors(vectors, candidates, _salience([base_weights[d] for d in DIMS]))
+    scaled = rank_vectors(vectors, candidates, _salience([scaled_weights[d] for d in DIMS]))
     assert [e.candidate_id for e in base.entries] == [e.candidate_id for e in scaled.entries]
 
 
@@ -473,6 +484,34 @@ def test_ranked_records_are_complete(candidates, profile, query, filter_normativ
         assert entry.vector.scores.keys() == entry.vector.evidence.keys() == set(DIMS)
         assert all(0.0 <= score <= 1.0 for score in entry.vector.scores.values())
     assert all(exclusion.reason for exclusion in ranked.excluded)
+
+
+@settings(max_examples=80, deadline=None)
+@given(candidates=random_candidates(), profile=random_profiles(), query=QUERIES)
+@example(  # two violations in one reason
+    candidates=[Candidate(id="c", name="Stew", ingredients=("beans",)), Candidate(id="d", name="Tofu")],
+    profile=UserProfile(user_id="u", dietary_constraints=("vegan", "no-beans")), query="feed me",
+)
+def test_exclusion_before_appraisal_matches_the_normative_score(candidates, profile, query, registry, lexicons):
+    # The rule the constraint check replaced: appraise every candidate, then
+    # exclude each whose Normative Significance is 0.0, its evidence the reason.
+    context = _context(registry, lexicons, profile, query)
+    salience = compute_salience(context, registry)
+    everyone = rank_candidates(candidates, context, salience, lexicons=lexicons, filter_normative=False)
+    violations = {
+        entry.candidate_id: entry.vector.evidence[Dimension.NORMATIVE_SIGNIFICANCE]
+        for entry in everyone.entries if entry.vector.scores[Dimension.NORMATIVE_SIGNIFICANCE] == 0.0
+    }
+    fresh = [_rebuilt(candidate) for candidate in candidates]
+    ranked = rank_candidates(fresh, context, salience, lexicons=lexicons)
+    assert ranked.entries == tuple(entry for entry in everyone.entries if entry.candidate_id not in violations)
+    assert ranked.excluded == tuple(
+        (candidate.id, "; ".join(violations[candidate.id])) for candidate in candidates
+        if candidate.id in violations
+    )
+    # An excluded candidate was never tokenized; appraised ones rank the same whether kept parts were warm.
+    assert all(candidate._parts is None for candidate in fresh if candidate.id in violations)
+    assert rank_candidates(candidates, context, salience, lexicons=lexicons) == ranked
 
 
 @settings(max_examples=60, deadline=None)
@@ -657,7 +696,9 @@ def test_adding_a_candidate_never_reorders_the_others(
 
 
 def test_run_pipeline_scores_through_the_module_global(monkeypatch, alex):
-    # Callers that rebind scoring.appraisal_vector, such as a tracer, see every call.
+    # Callers that rebind scoring.appraisal_vector, such as a tracer, see every
+    # call: one per candidate with the normative filter off, and with it on
+    # one per candidate that is not excluded, which is never appraised.
     scored = []
     original = scoring.appraisal_vector
 
@@ -666,9 +707,15 @@ def test_run_pipeline_scores_through_the_module_global(monkeypatch, alex):
         return original(candidate, *args, **kwargs)
 
     monkeypatch.setattr(scoring, "appraisal_vector", counted)
-    cfg = RunConfig()
-    run_pipeline(alex.profile, alex.query, list(alex.candidates), load_engine_data(cfg), cfg, RunLog())
-    assert scored == [candidate.id for candidate in alex.candidates]
+    ids = [candidate.id for candidate in alex.candidates]
+    for filter_normative, excluded in ((True, ["pepperoni-pizza"]), (False, [])):
+        cfg = RunConfig(filter_normative=filter_normative)
+        scored.clear()
+        result = run_pipeline(
+            alex.profile, alex.query, list(alex.candidates), load_engine_data(cfg), cfg, RunLog()
+        )
+        assert [exclusion.candidate_id for exclusion in result.ranked.excluded] == excluded
+        assert scored == [id for id in ids if id not in excluded]
 
 
 def _unique_tokens(texts):
