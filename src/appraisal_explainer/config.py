@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .context import UserProfile
-from .errors import ConfigError
+from .errors import ConfigError, DuplicateCandidate
 from .schemas import CANDIDATES_SCHEMA, CONFIG_SCHEMA, PROFILE_SCHEMA, read_json, validate
 from .scoring import Candidate
 
@@ -47,9 +47,18 @@ def load_profile(path: str | Path) -> UserProfile:
 
 
 def load_candidates(path: str | Path) -> list[Candidate]:
-    """The candidate set in ``path``, checked against ``CANDIDATES_SCHEMA`` as a whole."""
+    """The candidate set in ``path``, checked against ``CANDIDATES_SCHEMA`` as a whole.
+
+    Ids must be unique: the first id seen twice raises ``DuplicateCandidate``.
+    This is the one id check, so ranking does not repeat it per query.
+    """
     doc = read_json(path, "candidates", json.loads)
     validate(doc, CANDIDATES_SCHEMA, f"candidates file {path}")
+    seen: set[str] = set()
+    for record in doc:
+        if record["id"] in seen:
+            raise DuplicateCandidate(f"duplicate candidate id: {record['id']!r}")
+        seen.add(record["id"])
     return [Candidate.from_dict(record) for record in doc]
 
 

@@ -20,12 +20,17 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Recognized duration forms: "<N> minutes", "<N> min(s)", "<N>-minute",
 # "<N> hour(s)", "<N>-hour", "half an hour" (30), "quarter of an hour" (15)
 # and "an hour" (60). <N> may have decimals, rounded down to whole minutes, as
-# prep times are: "1.5 hours" is 90 and "2.5 min" is 2. First match in text order wins.
+# prep times are: "1.5 hours" is 90 and "2.5 min" is 2. An amount of hours or
+# "an hour" may go on with whole minutes or a half, as one compound duration:
+# "1 hour 30 minutes" and "an hour and a half" are 90, "1 hour and 15 min" is
+# 75. First match in text order wins, and a match starts only where a digit
+# run starts, so a long run that is no duration is scanned once.
 _DURATION_RE = re.compile(
-    r"(\d+)(?:\.(\d+))?\s*-?\s*(?:(min)(?:ute)?s?|hours?)\b"
+    r"(?:(?<!\d)(\d+)(?:\.(\d+))?\s*-?\s*hours?\b|\ban\s+hour\b)"
+    r"(?:\s+(?:and\s+)?(\d+)\s*-?\s*min(?:ute)?s?\b|\s+and\s+(a)\s+half\b)?"
+    r"|(?<!\d)(\d+)(?:\.\d+)?\s*-?\s*min(?:ute)?s?\b"
     r"|\bhalf\s+an\s+hour\b"
-    r"|\bquarter\s+of\s+an\s+hour\b"
-    r"|\ban\s+hour\b",
+    r"|\bquarter\s+of\s+an\s+hour\b",
     re.IGNORECASE,
 )
 _WORDED_MINUTES = {"half": 30, "quarter": 15, "an": 60}
@@ -50,18 +55,25 @@ def parse_time_constraint(text: str) -> int | None:
     if not text:
         return None
     for match in _DURATION_RE.finditer(text):
-        digits, fraction, per_minute = match.groups()
-        if digits is None:
-            return _WORDED_MINUTES[match.group(0).split()[0].lower()]
-        # A nonzero digit before the last four makes the run 10,000 or more:
-        # never a duration, so it is skipped without int(), which refuses
-        # runs of over 4,300 digits.
-        if any(map(int, digits[:-4])):
+        hours, fraction, tail, half, amount = match.groups()
+        # A nonzero digit before the last four makes a run 10,000 or more:
+        # never part of a duration, so it is skipped without int(), which
+        # refuses runs of over 4,300 digits.
+        if any(run and any(map(int, run[:-4])) for run in (hours, tail, amount)):
             continue
-        minutes = int(digits[-4:]) * (1 if per_minute else 60)
-        if fraction and not per_minute:  # exact at any length; imported only for an amount with decimals
+        if hours is not None:
+            minutes = int(hours[-4:]) * 60
+        elif amount is not None:
+            minutes = int(amount[-4:])  # a fraction of a minute is dropped
+        else:
+            minutes = _WORDED_MINUTES[match.group(0).split()[0].lower()]
+        if fraction:  # of an hour: exact at any length; imported only for an amount with decimals
             from decimal import Context, Decimal
             minutes += int(Context(prec=len(fraction) + 2).multiply(Decimal("0." + fraction), 60))
+        if tail is not None:
+            minutes += int(tail[-4:])
+        elif half is not None:
+            minutes += 30
         if 1 <= minutes <= MAX_CONSTRAINT_MINUTES:
             return minutes
     return None

@@ -9,7 +9,10 @@ bit-reproducible. It is not a compensated sum (``math.fsum``, or ``sum()`` of
 floats from Python 3.12 on): that can change a composite's last bit, and so a
 ranking's order and bytes, from one supported Python to the next. Exclusion
 is decided before appraisal: with the normative filter on, a candidate whose
-tags and ingredients violate a dietary constraint is never appraised.
+tags and ingredients violate a dietary constraint is never appraised, and an
+admitted candidate carries that verdict into its appraisal, so each
+candidate's diet is checked once per ranking. Candidate ids are checked once,
+where a catalog is loaded (``config.load_candidates``), not per ranking.
 
 Each evidence string carries its stance, decided here and nowhere else: a
 plain ``str`` counts for the candidate; an ``Against`` counts against it (a
@@ -33,8 +36,9 @@ other lexicons rebuild and replace it. The description's and tags' tokens
 are read while it is built and not kept. A context's first use fills its
 ``_situational`` with the compiled checks: the goals' tokens, the familiar
 items, each dietary constraint's rule and violation text, the evidence of a
-satisfied diet, and the time fit by prep minutes. Records are immutable, so
-neither goes stale; the profile itself keeps nothing derived.
+satisfied diet, and by prep minutes the time fit and the Urgency of a
+candidate with no urgency keyword. Records are immutable, so neither goes
+stale; the profile itself keeps nothing derived.
 
 A catalog repeats its tags and ingredients, so each tag's and ingredient's
 tokens and lower-cased form come from a memo keyed by the string, and each
@@ -53,7 +57,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .context import Immutable, UnifiedContext, minutes_text, tally_sentiment_tokens, tokenize
-from .errors import DuplicateCandidate, NoCandidates
+from .errors import NoCandidates
 from .lexicons import Lexicons
 from .registry import DIMENSIONS, Dimension
 from .salience import SalienceProfile
@@ -272,6 +276,10 @@ def _time_fit(limit: int | None, prep: int) -> tuple[float, tuple[str]]:
     return fit, (Against(f"prep time {prep} min exceeds the {minutes_text(limit)} available"),)
 
 
+def _urgency(fit: float, keyword_part: float) -> float:
+    return _clamp01(URGENCY_TIME_WEIGHT * fit + URGENCY_KEYWORD_WEIGHT * keyword_part)
+
+
 def _constraint_rule(constraint: str) -> tuple[str, str | None, str]:
     """(constraint, banned word or None, violation evidence) of one dietary constraint.
 
@@ -310,7 +318,8 @@ class _Situation:
         profile = context.profile
         constraints = profile.dietary_constraints
         self.limit = context.time_constraint_minutes
-        self.times: dict[int, tuple[float, tuple[str]]] = {}  # prep minutes -> time fit, evidence
+        # prep minutes -> (time fit, evidence, Urgency of a candidate with no urgency keyword)
+        self.times: dict[int, tuple[float, tuple[str], float]] = {}
         # (goal, first token, other tokens) of each goal that has tokens, sorted
         # by goal, so the goals a candidate matches come out sorted.
         split = ((goal, tokenize(goal)) for goal in profile.goals)
@@ -326,20 +335,9 @@ class _Situation:
         else:
             self.satisfied = 1.0, ("no dietary constraints apply",)
 
-    def urgency(self, prep, keyword_part, keyword_evidence):
-        try:
-            fit, evidence = self.times[prep]
-        except KeyError:
-            fit, evidence = self.times[prep] = _time_fit(self.limit, prep)
-        score = _clamp01(URGENCY_TIME_WEIGHT * fit + URGENCY_KEYWORD_WEIGHT * keyword_part)
-        if keyword_evidence is None:
-            return score, evidence
-        return score, (*evidence, keyword_evidence)
-
     def goal_relevance(self, terms):
+        """Called only for terms that hold some goal's first token."""
         # A goal matches when each of its tokens is a term; most goals are one word.
-        if self.goal_firsts.isdisjoint(terms):
-            return _NO_FINDING
         matched = [
             goal for goal, first, rest in self.goal_tokens
             if first in terms and (not rest or all(token in terms for token in rest))
@@ -349,9 +347,8 @@ class _Situation:
         return len(matched) / self.goal_count, ("matches your goals: " + ", ".join(matched),)
 
     def predictability(self, items):
+        """Called only for items that share a familiar item."""
         familiar = self.familiar
-        if familiar.isdisjoint(items):
-            return _NO_FINDING
         shared = sorted(familiar.intersection(items))
         union = len(items) + len(familiar) - len(shared)
         return len(shared) / union, ("shares familiar items: " + ", ".join(shared),)
@@ -380,19 +377,42 @@ def appraisal_vector(
     candidate: Candidate,
     context: UnifiedContext,
     lexicons: Lexicons,
+    verdict: tuple[float, tuple[str, ...]] | None = None,
 ) -> AppraisalVector:
-    """All six dimension scores for one candidate."""
+    """All six dimension scores for one candidate.
+
+    ``verdict`` is the candidate's Normative Significance (score, evidence)
+    when the caller has already checked its diet, as ``rank_candidates`` has
+    for a candidate it admits; otherwise it is checked here.
+    """
+    parts = candidate._parts
+    if parts is None or parts[0] is not lexicons:
+        parts = _candidate_parts(candidate, lexicons)
     (
         _, terms, items, tags_lower, item_tokens, keyword_part, keyword_evidence,
         valence, valence_evidence, agency, agency_evidence,
-    ) = _candidate_parts(candidate, lexicons)
+    ) = parts
     situation = context._situational or _situation(context)
-    urgency, urgency_evidence = situation.urgency(
-        candidate.prep_time_minutes, keyword_part, keyword_evidence
-    )
-    predictability, predictability_evidence = situation.predictability(items)
-    goal, goal_evidence = situation.goal_relevance(terms)
-    normative, normative_evidence = situation.normative(tags_lower, item_tokens)
+    prep = candidate.prep_time_minutes
+    try:
+        fit, urgency_evidence, urgency = situation.times[prep]
+    except KeyError:
+        fit, urgency_evidence = _time_fit(situation.limit, prep)
+        urgency = _urgency(fit, 0.0)
+        situation.times[prep] = fit, urgency_evidence, urgency
+    if keyword_evidence is not None:
+        urgency = _urgency(fit, keyword_part)
+        urgency_evidence = (*urgency_evidence, keyword_evidence)
+    # Most candidates share no familiar item and match no goal's first token.
+    if situation.familiar.isdisjoint(items):
+        predictability, predictability_evidence = _NO_FINDING
+    else:
+        predictability, predictability_evidence = situation.predictability(items)
+    if situation.goal_firsts.isdisjoint(terms):
+        goal, goal_evidence = _NO_FINDING
+    else:
+        goal, goal_evidence = situation.goal_relevance(terms)
+    normative, normative_evidence = verdict or situation.normative(tags_lower, item_tokens)
     return _new(AppraisalVector, (
         candidate.id,
         {
@@ -445,29 +465,29 @@ def rank_candidates(
 
     With ``filter_normative``, a candidate whose tags and ingredients violate
     a dietary constraint becomes an ``Exclusion``, in input order, and is
-    never appraised, so its name and description are never tokenized.
+    never appraised, so its name and description are never tokenized. An
+    admitted candidate is appraised with that verdict, the context's
+    satisfied finding, so its diet is not checked again; with no dietary
+    constraint, no candidate is checked. Ids are not checked here: a catalog
+    is checked for duplicates where it is loaded.
     """
     if not candidates:
         raise NoCandidates("candidate set is empty")
-    ids = [candidate.id for candidate in candidates]
-    if len(set(ids)) < len(ids):
-        seen: set[str] = set()
-        for id in ids:
-            if id in seen:
-                raise DuplicateCandidate(f"duplicate candidate id: {id!r}")
-            seen.add(id)
-    appraised, excluded = candidates, []
+    appraised, excluded, verdict = candidates, [], None
     if filter_normative:
-        normative, appraised = _situation(context).normative, []
-        for candidate in candidates:
-            parts = candidate._parts
-            fields = _item_fields(candidate) if parts is None else None
-            score, evidence = normative(fields[1], fields[3]) if fields else normative(parts[3], parts[4])
-            if score == 0.0:
-                excluded.append(_new(Exclusion, (candidate.id, "; ".join(evidence))))
-                continue
-            if fields:  # kept for its appraisal, so the fields are derived once
-                _candidate_parts(candidate, lexicons, fields)
-            appraised.append(candidate)
-    vectors = [appraisal_vector(candidate, context, lexicons) for candidate in appraised]
+        situation = _situation(context)
+        verdict = situation.satisfied  # an admitted candidate's Normative Significance
+        if situation.rules:  # with none, every candidate is admitted
+            normative, appraised = situation.normative, []
+            for candidate in candidates:
+                parts = candidate._parts
+                fields = _item_fields(candidate) if parts is None else None
+                score, evidence = normative(fields[1], fields[3]) if fields else normative(parts[3], parts[4])
+                if score == 0.0:
+                    excluded.append(_new(Exclusion, (candidate.id, "; ".join(evidence))))
+                    continue
+                if fields:  # kept for its appraisal, so the fields are derived once
+                    _candidate_parts(candidate, lexicons, fields)
+                appraised.append(candidate)
+    vectors = [appraisal_vector(candidate, context, lexicons, verdict) for candidate in appraised]
     return RankedList(rank_vectors(vectors, appraised, salience).entries, tuple(excluded))

@@ -133,6 +133,18 @@ def test_rank_empty_candidates_file(capsys, fixture_files, tmp_path):
     assert "empty" in err
 
 
+@pytest.mark.parametrize("argv", [["rank", "--format", "json"], ["explain"]])
+def test_duplicate_candidate_ids_are_an_input_error(capsys, fixture_files, tmp_path, argv):
+    profile, query, _ = fixture_files("sarah")
+    catalog = tmp_path / "dup.json"
+    catalog.write_text(json.dumps([
+        {"id": "dup", "name": "A", "prep_time_minutes": 10},
+        {"id": "dup", "name": "B", "prep_time_minutes": 20},
+    ]))
+    code, out, err = _run(capsys, [*argv, "--profile", profile, "--query", query, "--candidates", str(catalog)])
+    assert (code, out, err) == (2, "", "error: duplicate candidate id: 'dup'\n")
+
+
 @pytest.mark.parametrize("name", ["sarah", "alex"])
 def test_explain_template_matches_golden(capsys, fixture_files, name):
     profile, query, candidates = fixture_files(name)

@@ -21,23 +21,40 @@ from appraisal_explainer.scoring import Candidate, rank_candidates
 
 # Independent oracle for the duration grammar: each form scanned separately,
 # earliest valid match in text order wins; an amount with decimals is
-# converted exactly and rounded down to whole minutes.
+# converted exactly and rounded down to whole minutes. A compound (hours or
+# "an hour", then whole minutes or "and a half") counts as one duration, its
+# sum checked, and the forms inside it count for nothing on their own.
 def _oracle_time(text):
-    found = []
+    found, compounds = [], []
     amount = r"(\d+(?:\.\d+)?)\s*-?\s*"
+    not_worded = r"\b(?:half|quarter\s+of)\s+$"  # "an hour" inside "half an hour" is not an hour
+    compound = (
+        r"(?:" + amount + r"hours?\b|\ban\s+hour\b)"
+        r"\s+(?:(?:and\s+)?(\d+)\s*-?\s*min(?:ute)?s?\b|and\s+a\s+half\b)"
+    )
+    for match in re.finditer(compound, text, re.IGNORECASE):
+        if match.group(1) is None and re.search(not_worded, text[:match.start()], re.IGNORECASE):
+            continue
+        hours = Fraction(match.group(1)) if match.group(1) else 1
+        minutes = math.floor(hours * 60 + (int(match.group(2)) if match.group(2) else 30))
+        compounds.append(range(match.start(), match.end()))
+        if 1 <= minutes <= 1440:
+            found.append((match.start(), minutes))
+
+    def add(start, minutes):
+        if not any(start in span for span in compounds) and 1 <= minutes <= 1440:
+            found.append((start, minutes))
+
     for pattern, per_unit in ((amount + r"min(?:ute)?s?\b", 1), (amount + r"hours?\b", 60)):
         for match in re.finditer(pattern, text, re.IGNORECASE):
-            minutes = math.floor(Fraction(match.group(1)) * per_unit)
-            if 1 <= minutes <= 1440:
-                found.append((match.start(), minutes))
+            add(match.start(), math.floor(Fraction(match.group(1)) * per_unit))
     for match in re.finditer(r"\bhalf\s+an\s+hour\b", text, re.IGNORECASE):
-        found.append((match.start(), 30))
+        add(match.start(), 30)
     for match in re.finditer(r"\bquarter\s+of\s+an\s+hour\b", text, re.IGNORECASE):
-        found.append((match.start(), 15))
+        add(match.start(), 15)
     for match in re.finditer(r"\ban\s+hour\b", text, re.IGNORECASE):
-        before = text[:match.start()]
-        if not re.search(r"\b(?:half|quarter\s+of)\s+$", before, re.IGNORECASE):
-            found.append((match.start(), 60))
+        if not re.search(not_worded, text[:match.start()], re.IGNORECASE):
+            add(match.start(), 60)
     if not found:
         return None
     return min(found)[1]
@@ -71,6 +88,17 @@ def _oracle_time(text):
         ("ready in 2.5 min", 2),
         ("0.5 min is too short, 0.25 hours", 15),
         ("24.02 hours, or 1.75-hour", 105),
+        ("an hour and a half", 90),
+        ("dinner in 1 hour 30 minutes please", 90),
+        ("ready in 1 hour and 15 min", 75),
+        ("a 2 hours 5 minutes braise", 125),
+        ("1.5 hours 10 minutes", 100),
+        ("An Hour  And A Half", 90),
+        ("1 hour and a half, or 20 min", 90),
+        ("24 hours 30 minutes, or 20 minutes", 20),
+        ("half an hour and a half", 30),
+        ("1 hour 2.5 min", 60),
+        ("an hour and I'll cook 10 minutes", 60),
     ],
 )
 def test_parse_time_constraint_cases(text, expected):
@@ -87,6 +115,8 @@ def test_parse_time_constraint_cases(text, expected):
         ("9" * 5000 + " hours", None),
         ("0" * 5000 + "2 hours", 120),
         ("1." + "9" * 5000 + " hours", 119),
+        ("1" * 5000, None),
+        ("1 hour " + "1" * 5000 + " minutes, or 20 minutes", 20),
     ],
 )
 def test_parse_time_constraint_skips_long_digit_runs(text, expected):
@@ -115,6 +145,19 @@ def test_parse_time_constraint_matches_oracle(n, template):
 def test_parse_hours_matches_oracle(n, template):
     text = template.format(n=n)
     expected = n * 60 if 1 <= n * 60 <= 1440 else None
+    assert parse_time_constraint(text) == _oracle_time(text) == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=200),
+    st.sampled_from(["{h} hours {m} minutes", "{h} hour and {m} min", "in {h}-hour {m}-minute, or 5 min"]),
+)
+def test_parse_compound_durations_match_oracle(h, m, template):
+    # The range check applies to the sum; the parts are not durations on their own.
+    text = template.format(h=h, m=m)
+    total = h * 60 + m
+    expected = total if 1 <= total <= 1440 else 5 if "5 min" in template else None
     assert parse_time_constraint(text) == _oracle_time(text) == expected
 
 

@@ -83,16 +83,59 @@ def test_raising_the_time_limit_never_lowers_urgency(seed, limits, form, registr
     assert all(low <= high for low, high in zip(shorter, longer))
 
 
+# Phrasings of one duration, the plain number of minutes first.
+SYNONYMOUS_DURATIONS = (
+    ("30 minutes", "half an hour", "0.5 hours"),
+    ("90 minutes", "1.5 hours", "an hour and a half", "1 hour 30 minutes"),
+    ("75 min", "1 hour and 15 min"),
+    ("125 minutes", "2 hours 5 minutes"),
+)
+
+
 @settings(max_examples=50, deadline=None)
-@given(seed=SEEDS)
-def test_synonymous_durations_give_the_same_context(seed, registry, lexicons):
+@given(seed=SEEDS, durations=st.sampled_from(SYNONYMOUS_DURATIONS))
+def test_synonymous_durations_give_the_same_context(seed, durations, registry, lexicons):
     rng = random.Random(seed)
     profile = _profile(rng, rng.choice(gen.CONSTRAINT_MIX))
     text = gen.query(rng, KEYWORDS, SENTIMENT, False)
     derived = []
-    for duration in ("30 minutes", "half an hour", "0.5 hours"):
+    for duration in durations:
         context = build_unified_context(profile, Query(f"{text} Ready in {duration}."), registry, lexicons)
         salience = compute_salience(context, registry)
         derived.append((context.time_constraint_minutes, context.sentiment, context.keyword_hits, salience))
-    assert derived[0][0] == 30
-    assert derived[1] == derived[0] and derived[2] == derived[0]
+    assert derived[0][0] == int(durations[0].split()[0])
+    assert all(other == derived[0] for other in derived[1:])
+
+
+def _limit_and_salience(profile, text, registry, lexicons):
+    context = build_unified_context(profile, Query(text), registry, lexicons)
+    return context.time_constraint_minutes, compute_salience(context, registry)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS)
+def test_repeating_a_query_word_leaves_the_limit_and_weights(seed, registry, lexicons):
+    rng = random.Random(seed)
+    profile = _profile(rng, rng.choice(gen.CONSTRAINT_MIX))
+    text = gen.query(rng, KEYWORDS, SENTIMENT, rng.random() < 0.5)
+    repeated = f"{text} {rng.choice(tokenize(text))}"  # after the query's final period
+    assert _limit_and_salience(profile, repeated, registry, lexicons) == _limit_and_salience(
+        profile, text, registry, lexicons
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS)
+def test_changing_case_and_spacing_leaves_the_limit_and_weights(seed, registry, lexicons):
+    rng = random.Random(seed)
+    profile = _profile(rng, rng.choice(gen.CONSTRAINT_MIX))
+    text = gen.query(rng, KEYWORDS, SENTIMENT, rng.random() < 0.5)
+    recased = "".join(char.upper() if rng.random() < 0.5 else char.lower() for char in text)
+
+    def space():
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(1, 3)))
+
+    respaced = space() + "".join(space() if char == " " else char for char in recased) + space()
+    assert _limit_and_salience(profile, respaced, registry, lexicons) == _limit_and_salience(
+        profile, text, registry, lexicons
+    )

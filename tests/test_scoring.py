@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from appraisal_explainer import scoring
-from appraisal_explainer.config import RunConfig
+from appraisal_explainer.config import RunConfig, load_candidates
 from appraisal_explainer.context import Query, UserProfile, build_unified_context, tokenize
 from appraisal_explainer.errors import DuplicateCandidate, NoCandidates
 from appraisal_explainer.explanation import build_plan, realize_template
@@ -285,10 +285,15 @@ def test_rank_empty_rejected(sarah_context, lexicons):
         rank_candidates([], sarah_context, _salience([1 / 6] * 6), lexicons=lexicons)
 
 
-def test_rank_duplicate_ids_rejected(sarah_context, lexicons):
-    candidates = [Candidate(id="dup", name="A"), Candidate(id="dup", name="B")]
-    with pytest.raises(DuplicateCandidate):
-        rank_candidates(candidates, sarah_context, _salience([1 / 6] * 6), lexicons=lexicons)
+def test_duplicate_ids_rejected_at_load(tmp_path):
+    # Ids are checked once, where a catalog enters; ranking does not check them again.
+    catalog = tmp_path / "candidates.json"
+    catalog.write_text(json.dumps([
+        {"id": "dup", "name": "A", "prep_time_minutes": 1},
+        {"id": "dup", "name": "B", "prep_time_minutes": 1},
+    ]))
+    with pytest.raises(DuplicateCandidate, match="^duplicate candidate id: 'dup'$"):
+        load_candidates(catalog)
 
 
 def test_filter_excludes_violators(alex, alex_context, registry, lexicons):
@@ -716,6 +721,38 @@ def test_run_pipeline_scores_through_the_module_global(monkeypatch, alex):
         )
         assert [exclusion.candidate_id for exclusion in result.ranked.excluded] == excluded
         assert scored == [id for id in ids if id not in excluded]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_an_admitted_candidate_is_diet_checked_once(monkeypatch, seed, registry, lexicons):
+    # With the filter on, ranking checks each candidate's diet once and hands
+    # an admitted candidate's verdict to its appraisal, which must then score
+    # as if it had checked the diet itself. No rules, no check.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import gen
+
+    keywords, sentiment = gen.load_word_lists()
+    rng = random.Random(seed)
+    catalog = [Candidate.from_dict(doc) for doc in gen.catalog(rng, 200, keywords, sentiment)]
+    checked, check = [], scoring._Situation.normative
+
+    def counted(situation, tags, tokens):
+        checked.append(tags)
+        return check(situation, tags, tokens)
+
+    for record in gen.profile_mix(rng, len(gen.CONSTRAINT_MIX), keywords, sentiment):
+        profile = UserProfile.from_dict(record)
+        for query in gen.query_mix(rng, 2, keywords, sentiment):
+            context = _context(registry, lexicons, profile, query)
+            salience = compute_salience(context, registry)
+            checked.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(scoring._Situation, "normative", counted)
+                ranked = rank_candidates(catalog, context, salience, lexicons=lexicons)
+            assert len(checked) == (len(catalog) if profile.dietary_constraints else 0)
+            assert len(ranked.entries) + len(ranked.excluded) == len(catalog)
+            for entry in ranked.entries:
+                assert entry.vector == appraisal_vector(entry.candidate, context, lexicons)
 
 
 def _unique_tokens(texts):
