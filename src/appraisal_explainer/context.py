@@ -82,12 +82,14 @@ def parse_time_constraint(text: str) -> int | None:
 class Immutable:
     """A record whose ``__init__`` sets its fields once: assigning or deleting one raises.
 
-    A subclass's ``__init__`` stores the fields straight into the instance
-    dict, and its ``_key`` returns them in constructor order for ``==``,
-    ``hash`` and ``repr``. A per-instance cache is valid because the fields
-    never change. It takes one form: a slot that ``__init__`` sets to None
-    with the fields, so that all instances share one table of keys, and that
-    first use fills with ``object.__setattr__``, which bypasses ``__setattr__``.
+    A subclass's ``__init__`` stores its fields straight into the instance
+    dict, in constructor order. ``fields()`` reads them back from there, so
+    ``==``, ``hash`` and ``repr`` follow the constructor with no list of
+    names to keep in step. A per-instance cache is valid because the fields
+    never change. It takes one form: a slot whose name starts with ``_``,
+    which ``__init__`` sets to None after the fields, so that all instances
+    share one table of keys and ``fields()`` leaves it out, and which first
+    use fills with ``object.__setattr__``, bypassing ``__setattr__``.
     """
 
     __slots__ = ()
@@ -98,16 +100,20 @@ class Immutable:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def fields(self) -> dict:
+        """The fields by name, in constructor order, without the cache slots."""
+        return {name: value for name, value in self.__dict__.items() if name[0] != "_"}
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        return self.fields() == other.fields()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(self.fields().values()))
 
     def __repr__(self):
-        return type(self).__name__ + repr(self._key())
+        return type(self).__name__ + repr(tuple(self.fields().values()))
 
 
 class SentimentTally(NamedTuple):
@@ -170,23 +176,13 @@ class UserProfile(Immutable):
         fields["dietary_constraints"] = tuple(dict.fromkeys(_keywords(dietary_constraints)))
         fields["familiar_items"] = _keywords(familiar_items)
 
-    def _key(self) -> tuple:
-        return (
-            self.user_id, self.description, self.goals, self.preference_keywords,
-            self.dietary_constraints, self.familiar_items,
-        )
-
     @classmethod
     def from_dict(cls, record: dict) -> "UserProfile":
-        """The profile ``record`` holds, which ``PROFILE_SCHEMA`` has accepted."""
-        return cls(
-            user_id=record["user_id"],
-            description=record.get("description", ""),
-            goals=tuple(record.get("goals", ())),
-            preference_keywords=tuple(record.get("preference_keywords", ())),
-            dietary_constraints=tuple(record.get("dietary_constraints", ())),
-            familiar_items=tuple(record.get("familiar_items", ())),
-        )
+        """The profile ``record`` holds, which ``PROFILE_SCHEMA`` has accepted.
+
+        ``history_queries`` is accepted for compatibility and not kept: no stage reads it.
+        """
+        return cls(**{key: value for key, value in record.items() if key != "history_queries"})
 
 
 class Query(Immutable):
@@ -196,9 +192,6 @@ class Query(Immutable):
         if not text or not text.strip():
             raise EmptyQuery("query text is empty")
         self.__dict__["text"] = text
-
-    def _key(self) -> tuple:
-        return (self.text,)
 
 
 class SourceHits(NamedTuple):
@@ -230,12 +223,6 @@ class UnifiedContext(Immutable):
         # Where scoring keeps this context's compiled situational checks, built
         # on its first appraisal; the context is immutable, so they never go stale.
         fields["_situational"] = None
-
-    def _key(self) -> tuple:
-        return (
-            self.profile, self.query, self.composite_text, self.time_constraint_minutes,
-            self.sentiment, self.keyword_hits,
-        )
 
 
 def _ordered_matches(tokens: list[str], words: frozenset[str]) -> tuple[str, ...]:
@@ -276,7 +263,7 @@ def build_unified_context(
         profile_tokens.extend(tokenize(keyword))
     hits: dict[Dimension, SourceHits] = {}
     for info in registry.dimensions:
-        words = lexicons.words_for(info.id)
+        words = lexicons.dimension_words[info.id]
         hits[info.id] = SourceHits(
             query=_ordered_matches(query_tokens, words),
             profile=_ordered_matches(profile_tokens, words),

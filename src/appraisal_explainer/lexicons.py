@@ -11,14 +11,11 @@ from .schemas import LEXICONS_SCHEMA, bundled_text, load_document
 
 
 class Lexicons(NamedTuple):
-    """Per-dimension keyword lists plus a positive/negative sentiment lexicon."""
+    """Each dimension's keyword set, in ``dimension_words[dim]``, and the two sentiment sets."""
 
     dimension_words: dict[Dimension, frozenset[str]]
     positive: frozenset[str]
     negative: frozenset[str]
-
-    def words_for(self, dim: Dimension) -> frozenset[str]:
-        return self.dimension_words[dim]
 
 
 def _normalize(words) -> frozenset[str]:

@@ -99,19 +99,19 @@ def request_entailment_scores(
         raise ScorerUnavailable(f"entailment service request failed: {exc}") from exc
     try:
         body = response.json()
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError("entailment service returned non-JSON body") from exc
     if not isinstance(body, dict) or not isinstance(body.get("scores"), list):
         raise ProtocolError("entailment response must be an object with a 'scores' list")
     scores: dict[str, float] = {}
     for entry in body["scores"]:
-        if not isinstance(entry, dict) or "dimension" not in entry or "entailment" not in entry:
+        if not (isinstance(entry, dict) and isinstance(entry.get("dimension"), str) and "entailment" in entry):
             raise ProtocolError(f"malformed score entry: {entry!r}")
         dim = entry["dimension"]
         value = entry["entailment"]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ProtocolError(f"entailment score for {dim!r} is not a number")
-        if not 0.0 <= float(value) <= 1.0:
+        if not 0.0 <= value <= 1.0:  # before float(), which overflows on a huge int
             raise ProtocolError(f"entailment score for {dim!r} outside [0, 1]: {value}")
         if dim in scores:
             raise ProtocolError(f"duplicate dimension in response: {dim!r}")
@@ -150,7 +150,7 @@ def request_chat_completion(endpoint: ChatEndpoint, system: str, user: str) -> s
     try:
         body = response.json()
         content = body["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
         raise RealizerUnavailable(f"malformed chat response: {exc}") from exc
     if content is not None and not isinstance(content, str):
         raise RealizerUnavailable("chat completion content is not a string")

@@ -395,7 +395,7 @@ def read_json(path: str | Path, what: str, loads=json.loads):
         return loads(Path(path).read_text("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} file {path} is not valid UTF-8 JSON: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int of over 4,300 digits, or too deep
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 

@@ -128,35 +128,22 @@ class Candidate(Immutable):
     ):
         # The same keys in the same order for every candidate, so all
         # candidates share one table of keys. ``_parts`` is where
-        # ``_candidate_parts`` keeps its cache.
+        # ``_candidate_parts`` keeps its cache. JSON Schema counts 2.0 as an
+        # integer, and a JSON array loads as a list.
         fields = self.__dict__
         fields["id"] = id
         fields["name"] = name
         fields["description"] = description
-        fields["prep_time_minutes"] = prep_time_minutes
-        fields["ingredients"] = ingredients
-        fields["tags"] = tags
-        fields["customization_options"] = customization_options
+        fields["prep_time_minutes"] = int(prep_time_minutes)
+        fields["ingredients"] = tuple(ingredients)
+        fields["tags"] = tuple(tags)
+        fields["customization_options"] = int(customization_options)
         fields["_parts"] = None
-
-    def _key(self) -> tuple:
-        return (
-            self.id, self.name, self.description, self.prep_time_minutes, self.ingredients,
-            self.tags, self.customization_options,
-        )
 
     @classmethod
     def from_dict(cls, record: dict) -> "Candidate":
         """The candidate ``record`` holds, which ``CANDIDATE_SCHEMA`` has accepted."""
-        return cls(
-            id=record["id"],
-            name=record["name"],
-            description=record.get("description", ""),
-            prep_time_minutes=int(record["prep_time_minutes"]),
-            ingredients=tuple(record.get("ingredients", ())),
-            tags=tuple(record.get("tags", ())),
-            customization_options=int(record.get("customization_options", 0)),
-        )
+        return cls(**record)
 
 
 class AppraisalVector(NamedTuple):
@@ -191,7 +178,7 @@ def _clamp01(value: float) -> float:
 
 def _urgency_keywords(terms, lexicons):
     """Urgency's query-independent part: the keyword share and its evidence, or None."""
-    hits = sorted(lexicons.words_for(Dimension.URGENCY).intersection(terms))
+    hits = sorted(lexicons.dimension_words[Dimension.URGENCY].intersection(terms))
     if not hits:
         return 0.0, None
     return min(1.0, len(hits) / URGENCY_KEYWORD_SATURATION), "urgency keywords matched: " + ", ".join(hits)
@@ -212,7 +199,7 @@ def _score_valence(description_tokens, lexicons):
 
 
 def _score_agency(options, tag_tokens, lexicons):
-    hits = sorted(lexicons.words_for(Dimension.AGENCY).intersection(tag_tokens))
+    hits = sorted(lexicons.dimension_words[Dimension.AGENCY].intersection(tag_tokens))
     score = min(1.0, (options + len(hits)) / AGENCY_SATURATION)
     evidence: list[str] = []
     if options > 0:

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring as _quote  # json's string encoder wh
 from .explanation import ComparisonReport, ExplanationPlan, MentionReport
 from .registry import DIMENSIONS
 from .salience import SalienceProfile
-from .scoring import Candidate, RankedList
+from .scoring import RankedList
 
 # Each dimension with its JSON key; reading ``Dimension.value`` is a property
 # call, too slow to repeat twelve times per ranked entry.
@@ -123,18 +123,6 @@ def write_ranking_json(ranked: RankedList, stream) -> None:
         stream.write(block)
 
 
-def _candidate_to_dict(candidate: Candidate) -> dict:
-    return {
-        "id": candidate.id,
-        "name": candidate.name,
-        "description": candidate.description,
-        "prep_time_minutes": candidate.prep_time_minutes,
-        "ingredients": list(candidate.ingredients),
-        "tags": list(candidate.tags),
-        "customization_options": candidate.customization_options,
-    }
-
-
 def _finding_to_dict(finding) -> dict:
     return {
         "dimension": finding.dimension.value,
@@ -147,7 +135,10 @@ def _finding_to_dict(finding) -> dict:
 
 def plan_to_dict(plan: ExplanationPlan) -> dict:
     return {
-        "candidate": _candidate_to_dict(plan.candidate),
+        "candidate": {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in plan.candidate.fields().items()
+        },
         "dominant": [_finding_to_dict(f) for f in plan.dominant],
         "per_dimension": [_finding_to_dict(f) for f in plan.per_dimension],
         "context_summary": plan.context_summary,

@@ -709,17 +709,38 @@ def test_whitespace_only_candidate_name_is_rejected(capsys, fixture_files, tmp_p
     assert err == f"error: candidates file {bad} $[0].name: '   ' does not match '\\\\S'\n"
 
 
-@pytest.mark.parametrize("flag", ["--candidates", "--profile", "--config"])
-def test_non_utf8_input_is_an_input_error(capsys, fixture_files, tmp_path, flag):
+def _rank_with_input(capsys, fixture_files, flag, path):
+    """Exit code and stderr of ``rank`` on the sarah fixture, with ``flag`` naming ``path``."""
     profile, query, candidates = fixture_files("sarah")
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(b"\xff\xfe[]")
-    args = {"--profile": profile, "--candidates": candidates, flag: str(bad)}
+    args = {"--profile": profile, "--candidates": candidates, flag: str(path)}
     code, _, err = _run(
         capsys, ["rank", "--query", query, *(item for pair in args.items() for item in pair)]
     )
+    return code, err
+
+
+@pytest.mark.parametrize("flag", ["--candidates", "--profile", "--config"])
+def test_non_utf8_input_is_an_input_error(capsys, fixture_files, tmp_path, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[]")
+    code, err = _rank_with_input(capsys, fixture_files, flag, bad)
     assert code == 2
     assert err.startswith(f"error: {flag[2:]} file {bad} is not valid UTF-8 JSON: ")
+
+
+# JSON that Python cannot hold: json refuses an integer literal of over 4,300
+# digits with a plain ValueError, and recurses per level of nesting until a
+# RecursionError.
+@pytest.mark.parametrize(
+    "text", ["[" + "7" * 5000 + "]", "[" * 100_000 + "]" * 100_000], ids=["long-int", "deep"]
+)
+@pytest.mark.parametrize("flag", ["--candidates", "--profile", "--config", "--lexicons"])
+def test_json_python_cannot_hold_is_an_input_error(capsys, fixture_files, tmp_path, flag, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, err = _rank_with_input(capsys, fixture_files, flag, bad)
+    assert code == 2
+    assert err.startswith(f"error: {flag[2:]} file {bad} is not valid JSON: ")
 
 
 # Mostly words of the bundled lexicons, so generated candidates earn evidence

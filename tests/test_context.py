@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -16,6 +17,7 @@ from appraisal_explainer.context import (
 from appraisal_explainer.errors import EmptyQuery
 from appraisal_explainer.registry import Dimension
 from appraisal_explainer.salience import compute_salience
+from appraisal_explainer.schemas import CANDIDATE_SCHEMA, PROFILE_SCHEMA
 from appraisal_explainer.scoring import Candidate, rank_candidates
 
 
@@ -233,6 +235,75 @@ def test_profile_keeps_each_goal_and_constraint_once():
     assert profile.dietary_constraints == ("vegan", "no-nuts")
 
 
+def _parameters(cls) -> list[str]:
+    return list(inspect.signature(cls.__init__).parameters)[1:]
+
+
+def test_candidate_schema_names_the_constructor_parameters():
+    # ``from_dict`` passes an accepted record to the constructor as keywords.
+    assert list(CANDIDATE_SCHEMA["properties"]) == _parameters(Candidate)
+
+
+def test_profile_schema_names_the_constructor_parameters_and_history_queries():
+    # ``from_dict`` drops ``history_queries``, which no stage reads, and passes the rest.
+    assert list(PROFILE_SCHEMA["properties"]) == [*_parameters(UserProfile), "history_queries"]
+
+
+def test_from_dict_reads_every_field_and_drops_only_history_queries():
+    candidate = Candidate.from_dict(
+        {"id": "c", "name": "Bowl", "prep_time_minutes": 10.0, "ingredients": ["rice"], "tags": []}
+    )
+    assert repr(candidate) == "Candidate('c', 'Bowl', '', 10, ('rice',), (), 0)"
+    assert type(candidate.prep_time_minutes) is int
+    profile = UserProfile.from_dict({"user_id": "u", "goals": ["Quick"], "history_queries": ["soup"]})
+    assert profile == UserProfile("u", goals=("quick",))
+
+
+def _record_samples(registry, lexicons):
+    profile = UserProfile(
+        user_id="u", description="Busy.", goals=(" Quick ", "quick"), dietary_constraints=("vegan",)
+    )
+    query = Query(text="something fast in 20 minutes")
+    candidate = Candidate(
+        id="c1", name="Salad", description="fresh", prep_time_minutes=10,
+        ingredients=("kale",), tags=("vegan", "quick"), customization_options=2,
+    )
+    return profile, query, candidate, build_unified_context(profile, query, registry, lexicons)
+
+
+def test_record_reprs_keep_their_bytes(registry, lexicons):
+    # Recorded when each record listed its fields for ==, hash and repr by hand.
+    profile, query, candidate, context = _record_samples(registry, lexicons)
+    assert repr(profile) == "UserProfile('u', 'Busy.', ('quick',), (), ('vegan',), ())"
+    assert repr(query) == "Query('something fast in 20 minutes',)"
+    assert repr(candidate) == "Candidate('c1', 'Salad', 'fresh', 10, ('kale',), ('vegan', 'quick'), 2)"
+    no_hits = "SourceHits(query=(), profile=())"
+    assert repr(context) == (
+        "UnifiedContext(UserProfile('u', 'Busy.', ('quick',), (), ('vegan',), ()), "
+        "Query('something fast in 20 minutes',), "
+        "'Busy. Goals: quick. something fast in 20 minutes', 20, "
+        "SentimentTally(matched_positive=(), matched_negative=()), "
+        f"{{<Dimension.PREDICTABILITY_SURPRISE: 'PredictabilitySurprise'>: {no_hits}, "
+        f"<Dimension.GOAL_RELEVANCE: 'GoalRelevance'>: {no_hits}, "
+        f"<Dimension.VALENCE: 'Valence'>: {no_hits}, "
+        "<Dimension.URGENCY: 'Urgency'>: SourceHits(query=('fast',), profile=('quick',)), "
+        f"<Dimension.AGENCY: 'Agency'>: {no_hits}, "
+        f"<Dimension.NORMATIVE_SIGNIFICANCE: 'NormativeSignificance'>: {no_hits}}})"
+    )
+
+
+def test_records_compare_by_fields_not_by_filled_caches(registry, lexicons):
+    profile, query, candidate, context = _record_samples(registry, lexicons)
+    fresh = Candidate(**candidate.fields())
+    rank_candidates([candidate], context, compute_salience(context, registry), lexicons=lexicons)
+    assert candidate._parts is not None and fresh._parts is None
+    assert candidate == fresh and hash(candidate) == hash(fresh)
+    assert candidate != Candidate(**{**candidate.fields(), "customization_options": 3})
+    assert context == build_unified_context(profile, query, registry, lexicons)
+    assert (profile, query) != (profile, Query(text="something else"))
+    assert hash(profile) == hash(UserProfile(**profile.fields()))
+
+
 def test_sarah_context_signals(sarah_context):
     assert sarah_context.time_constraint_minutes == 15
     assert "hurry" in sarah_context.keyword_hits[Dimension.URGENCY].query
@@ -274,7 +345,7 @@ def test_composite_text_contains_inputs(sarah_context, sarah):
 
 @given(dim=st.sampled_from(list(Dimension)), data=st.data())
 def test_appending_lexicon_word_is_monotone(dim, data, registry, lexicons):
-    words = sorted(lexicons.words_for(dim))
+    words = sorted(lexicons.dimension_words[dim])
     word = data.draw(st.sampled_from(words))
     profile = UserProfile(user_id="u", goals=("healthy",))
     base_query = Query(text="what should I eat")

@@ -1,4 +1,5 @@
-"""Imports, exceptions and cache slots of the package: each one used, re-exported, raised or pre-set."""
+"""Imports, exceptions, cache slots and top-level definitions of the package: each one used,
+re-exported, raised, pre-set or referenced."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,34 @@ def test_every_cache_slot_is_preset_in_its_class_init():
     late = [name for tree in trees for name in _late_attributes(tree)]
     assert late
     assert [name for name in late if name not in preset] == []
+    # ``Immutable`` leaves a name that starts with ``_`` out of a record's fields.
+    assert sorted(name for name in preset if not name.startswith("_")) == []
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_top_level_function_and_class_is_referenced_outside_its_definition():
+    # Code no command reaches is wired in or deleted; a name the tests alone
+    # read does not count.
+    statements = [
+        statement
+        for path in sorted(PACKAGE.glob("*.py"))
+        for statement in ast.parse(path.read_text("utf-8")).body
+    ]
+    defined = [
+        statement for statement in statements
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    assert defined
+    read = [(statement, _names_read(statement)) for statement in statements]
+    unreferenced = [
+        node.name for node in defined
+        if not any(node.name in names for statement, names in read if statement is not node)
+    ]
+    assert unreferenced == []

@@ -171,14 +171,41 @@ def test_entailment_timeout_falls_back_to_lexical(sarah_context, registry, monke
     assert profile.scorer_id == salience.SCORER_FALLBACK
 
 
+# A reply nested past the recursion limit, which json cannot decode, or one
+# that holds a value no check expected: each must reach its row of the
+# failure table, not escape as a TypeError, OverflowError or RecursionError.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _entry(payload, index, **fields):
+    body = nli_response_for(payload, CANNED)
+    body["scores"][index].update(fields)
+    return body
+
+
+_ODD_ENTAILMENT_REPLIES = {
+    "list-dimension": lambda payload: _entry(payload, 0, dimension=["Valence"]),
+    "huge-int-score": lambda payload: _entry(payload, 1, entailment=10**400),
+    "nested-too-deep": lambda payload: '{"scores": ' + _DEEP + "}",
+}
+
+
+@pytest.mark.parametrize("reply", _ODD_ENTAILMENT_REPLIES.values(), ids=_ODD_ENTAILMENT_REPLIES)
+def test_odd_entailment_reply_is_a_protocol_error(sarah_context, registry, reply):
+    with stub_server(lambda payload: (200, reply(payload))) as server:
+        with pytest.raises(ProtocolError):
+            remote_entailment_salience(sarah_context, registry, EntailmentEndpoint(url=server.url))
+
+
 @pytest.mark.parametrize(
     "reply",
     [
         lambda payload: "this is not json",
         lambda payload: {"result": "entailment"},
         lambda payload: nli_response_for(payload, CANNED, drop_last=True),
+        *_ODD_ENTAILMENT_REPLIES.values(),
     ],
-    ids=["non-json", "wrong-shape", "partial-coverage"],
+    ids=["non-json", "wrong-shape", "partial-coverage", *_ODD_ENTAILMENT_REPLIES],
 )
 def test_malformed_entailment_reply_falls_back_to_lexical(sarah_context, registry, monkeypatch, reply):
     with stub_server(lambda payload: (200, reply(payload))) as server:
@@ -273,6 +300,27 @@ def test_llm_empty_completion_falls_back_to_template(sarah_bundle, monkeypatch, 
     cfg = RunConfig(realizer="llm", fallback=True)
     runlog = RunLog()
     with stub_server(lambda payload: (200, chat_response(content))) as server:
+        monkeypatch.setenv("APPRAISAL_LLM_URL", server.url)
+        text = realize_appraisal(plan, load_engine_data(cfg), cfg, runlog)
+    assert text == realize_template(plan)
+    assert [(r.realizer, r.fallback) for r in runlog.records] == [("template", True)]
+
+
+def test_llm_reply_nested_too_deep_is_unavailable(sarah_bundle):
+    _, bundle = sarah_bundle
+    with stub_server(lambda payload: (200, _DEEP)) as server:
+        with pytest.raises(RealizerUnavailable, match="malformed chat response"):
+            realize_llm(bundle, ChatEndpoint(url=server.url))
+
+
+def test_llm_reply_nested_too_deep_falls_back_to_template(sarah_bundle, monkeypatch):
+    from appraisal_explainer.config import RunConfig
+    from appraisal_explainer.pipeline import load_engine_data, realize_appraisal
+
+    plan, _ = sarah_bundle
+    cfg = RunConfig(realizer="llm", fallback=True)
+    runlog = RunLog()
+    with stub_server(lambda payload: (200, _DEEP)) as server:
         monkeypatch.setenv("APPRAISAL_LLM_URL", server.url)
         text = realize_appraisal(plan, load_engine_data(cfg), cfg, runlog)
     assert text == realize_template(plan)

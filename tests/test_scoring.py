@@ -859,7 +859,7 @@ def test_candidates_with_equal_tags_share_their_tag_tuples(lexicons):
 # candidate's and profile's own fields, nothing kept per candidate or per
 # context: the results the compiled checks must reproduce.
 def _reference_urgency(candidate, context, lexicons):
-    hits = sorted(lexicons.words_for(Dimension.URGENCY).intersection(_terms(candidate)))
+    hits = sorted(lexicons.dimension_words[Dimension.URGENCY].intersection(_terms(candidate)))
     keyword_part = min(1.0, len(hits) / scoring.URGENCY_KEYWORD_SATURATION)
     keyword_evidence = "urgency keywords matched: " + ", ".join(hits) if hits else None
     limit = context.time_constraint_minutes
