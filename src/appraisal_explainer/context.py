@@ -204,6 +204,8 @@ class SourceHits(NamedTuple):
 class UnifiedContext(Immutable):
     """Everything the salience and scoring stages need about the situation."""
 
+    __hash__ = None  # keyword_hits is a dict, so a context has no hash
+
     def __init__(
         self,
         profile: UserProfile,

@@ -40,12 +40,13 @@ satisfied diet, and by prep minutes the time fit and the Urgency of a
 candidate with no urgency keyword. Records are immutable, so neither goes
 stale; the profile itself keeps nothing derived.
 
-A catalog repeats its tags and ingredients, so each tag's and ingredient's
-tokens and lower-cased form come from a memo keyed by the string, and each
-tag list's derived tuples from a memo keyed by the list; these and the
-time-fit memo are ``lru_cache``s bounded by ``ITEM_MEMO_SIZE`` (4,096)
+A catalog repeats its tags, ingredients and option counts, so memos keep
+each tag's and ingredient's tokens and lower-cased form by the string, each
+tag list's derived tuples by the list, its Agency hits and evidence by its
+tokens and the Agency words, and the options evidence by the count. These
+and the time-fit memo are ``lru_cache``s bounded by ``ITEM_MEMO_SIZE`` (4,096)
 entries. Kept tokens are interned strings, and every candidate that shares a
-tag list shares its lower-cased tags.
+tag list shares its lower-cased tags and its Agency tag evidence.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def _interned(values) -> tuple[str, ...]:
     return tuple(map(sys.intern, values))
 
 
-# The bound of each memo below, not a setting: 20,000 generated candidates
-# have 15 distinct tags, 39 distinct ingredients and about 3,300 tag lists.
+# The bound of each memo below, not a setting: 20,000 generated candidates have 15
+# distinct tags, 39 distinct ingredients and about 3,300 tag lists, each an Agency memo key.
 ITEM_MEMO_SIZE = 4096
 
 
@@ -178,9 +179,10 @@ def _clamp01(value: float) -> float:
 
 def _urgency_keywords(terms, lexicons):
     """Urgency's query-independent part: the keyword share and its evidence, or None."""
-    hits = sorted(lexicons.dimension_words[Dimension.URGENCY].intersection(terms))
-    if not hits:
+    words = lexicons.dimension_words[Dimension.URGENCY]
+    if words.isdisjoint(terms):  # most candidates
         return 0.0, None
+    hits = sorted(words.intersection(terms))
     return min(1.0, len(hits) / URGENCY_KEYWORD_SATURATION), "urgency keywords matched: " + ", ".join(hits)
 
 
@@ -198,16 +200,22 @@ def _score_valence(description_tokens, lexicons):
     return score, (evidence,)
 
 
+@lru_cache(maxsize=ITEM_MEMO_SIZE)
+def _agency_tags(tag_tokens: tuple[str, ...], words: frozenset[str]) -> tuple[int, tuple[str, ...]]:
+    """How many Agency words a tag list's tokens hold, and their evidence."""
+    hits = sorted(words.intersection(tag_tokens))
+    return len(hits), ("customization tags matched: " + ", ".join(hits),) if hits else ()
+
+
+@lru_cache(maxsize=ITEM_MEMO_SIZE)
+def _options_text(options: int) -> str:
+    return f"{options} documented customization option{'' if options == 1 else 's'}"
+
+
 def _score_agency(options, tag_tokens, lexicons):
-    hits = sorted(lexicons.dimension_words[Dimension.AGENCY].intersection(tag_tokens))
-    score = min(1.0, (options + len(hits)) / AGENCY_SATURATION)
-    evidence: list[str] = []
-    if options > 0:
-        plural = "" if options == 1 else "s"
-        evidence.append(f"{options} documented customization option{plural}")
-    if hits:
-        evidence.append("customization tags matched: " + ", ".join(hits))
-    return _clamp01(score), tuple(evidence)
+    hits, evidence = _agency_tags(tag_tokens, lexicons.dimension_words[Dimension.AGENCY])
+    score = _clamp01((options + hits) / AGENCY_SATURATION)
+    return score, ((_options_text(options), *evidence) if options > 0 else evidence)
 
 
 def _item_fields(candidate: Candidate) -> tuple:
@@ -217,12 +225,12 @@ def _item_fields(candidate: Candidate) -> tuple:
     from the ``_item_parts`` and ``_tag_parts`` memos, and item tokens their unique tokens.
     """
     tag_tokens, tags_lower, tag_items = _tag_parts(candidate.tags)
-    ingredients = list(map(_item_parts, candidate.ingredients))
-    return (
-        tag_tokens, tags_lower,
-        tuple(dict.fromkeys(chain(tag_items, filter(None, [lower for _, lower in ingredients])))),
-        tuple(dict.fromkeys(chain(tag_tokens, *[tokens for tokens, _ in ingredients]))),
-    )
+    items, item_tokens = [*tag_items], [*tag_tokens]
+    for tokens, lower in map(_item_parts, candidate.ingredients):
+        if lower:
+            items.append(lower)
+        item_tokens += tokens
+    return tag_tokens, tags_lower, tuple(dict.fromkeys(items)), tuple(dict.fromkeys(item_tokens))
 
 
 def _candidate_parts(candidate: Candidate, lexicons: Lexicons, fields: tuple | None = None) -> tuple:

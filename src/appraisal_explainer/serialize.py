@@ -8,12 +8,20 @@ document straight to a stream, byte for byte what ``json.dumps`` makes of
 ``ranking_to_dict`` with ``indent=2, ensure_ascii=False``, and a newline.
 ``ranking_to_dict`` stays as the dict view that text output renders and as
 the oracle the writer is tested against.
+
+Each call of the writer memoizes, for that call only, the text of each
+evidence list, keyed by the tuple, and of each composite-and-scores block,
+keyed by its floats' bytes: as dict keys ``0.0`` and ``-0.0`` are one, but
+they print differently. 15,000 ranked entries of a 20,000-candidate catalog
+hold about 11,000 distinct evidence lists of 91,000 and 1,200 score blocks.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from json.encoder import encode_basestring as _quote  # json's string encoder when ensure_ascii=False
+from operator import itemgetter
+from struct import Struct
 
 from .explanation import ComparisonReport, ExplanationPlan, MentionReport
 from .registry import DIMENSIONS
@@ -54,16 +62,31 @@ def ranking_to_dict(ranked: RankedList) -> dict:
     }
 
 
-# The fixed text of one ranked entry around its id, composite and six scores,
-# at the depth json's indent=2 puts it, and each evidence list's key.
-_ENTRY_HEAD = (
-    '    {\n      "candidate_id": %s,\n      "composite": %s,\n      "scores": {\n'
-    + ",\n".join(f"        {_quote(key)}: %s" for _, key in _DIMENSION_KEYS)
-    + '\n      },\n      "evidence": {\n'
-)
-_EVIDENCE_KEYS = tuple((dim, f"        {_quote(key)}: ") for dim, key in _DIMENSION_KEYS)
-_ENTRY_TAIL = "\n      }\n    }"
+# An entry's text around its id, score block and six evidence lists, and the score
+# block's around the composite and six scores, at the depth json's indent=2 puts them.
+_MEMBERS = ",\n".join(f"        {_quote(key)}: %s" for _, key in _DIMENSION_KEYS)
+_ENTRY = '    {\n      "candidate_id": %s,\n%s' + _MEMBERS + "\n      }\n    }"
+_SCORES = '      "composite": %s,\n      "scores": {\n' + _MEMBERS + '\n      },\n      "evidence": {\n'
 _BLOCK_CHUNKS = 1024
+# An entry's six scores in dimension order, and the evidence of a dimension it has none for.
+_scores = itemgetter(*DIMENSIONS)
+_NO_EVIDENCE = ((),) * len(DIMENSIONS)
+_pack = Struct(f"{1 + len(DIMENSIONS)}d")  # a composite and six scores
+
+
+class _Memo(dict):
+    """Each key's text, made by ``text`` on first use."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __missing__(self, key):
+        text = self[key] = self.text(key)
+        return text
+
+
+def _scores_json(packed: bytes) -> str:
+    return _SCORES % tuple(map(float.__repr__, _pack.unpack(packed)))
 
 
 def _evidence_list(strings) -> str:
@@ -72,17 +95,14 @@ def _evidence_list(strings) -> str:
     return "[\n          " + ",\n          ".join(map(_quote, strings)) + "\n        ]"
 
 
-def _entry_json(entry) -> str:
-    scores, evidence = entry.vector.scores, entry.vector.evidence
-    head = _ENTRY_HEAD % (
-        _quote(entry.candidate_id),
-        float.__repr__(entry.composite),
-        *[float.__repr__(scores[dim]) for dim, _ in _DIMENSION_KEYS],
-    )
-    lists = ",\n".join(
-        prefix + _evidence_list(evidence.get(dim, ())) for dim, prefix in _EVIDENCE_KEYS
-    )
-    return head + lists + _ENTRY_TAIL
+def _entries_json(entries):
+    """Each ranked entry's JSON text; the score-block and evidence-list memos last for one call."""
+    scores_json, evidence_list = _Memo(_scores_json).__getitem__, _Memo(_evidence_list).__getitem__
+    for candidate_id, composite, (_, scores, evidence), _ in entries:
+        yield _ENTRY % (
+            _quote(candidate_id), scores_json(_pack.pack(composite, *_scores(scores))),
+            *map(evidence_list, map(evidence.get, DIMENSIONS, _NO_EVIDENCE)),
+        )
 
 
 def _exclusion_json(exclusion) -> str:
@@ -103,7 +123,7 @@ def _array(items):
 
 def _ranking_chunks(ranked: RankedList):
     yield '{\n  "entries": '
-    yield from _array(map(_entry_json, ranked.entries))
+    yield from _array(_entries_json(ranked.entries))
     yield ',\n  "excluded": '
     yield from _array(map(_exclusion_json, ranked.excluded))
     yield "\n}\n"

@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+from collections.abc import Hashable
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,16 @@ def test_records_compare_by_fields_not_by_filled_caches(registry, lexicons):
     assert context == build_unified_context(profile, query, registry, lexicons)
     assert (profile, query) != (profile, Query(text="something else"))
     assert hash(profile) == hash(UserProfile(**profile.fields()))
+
+
+def test_a_context_is_unhashable_and_the_other_records_hash_by_their_fields(registry, lexicons):
+    profile, query, candidate, context = _record_samples(registry, lexicons)
+    assert not isinstance(context, Hashable)
+    with pytest.raises(TypeError, match="unhashable type: 'UnifiedContext'"):
+        hash(context)
+    for record in (profile, query, candidate):
+        copy = type(record)(**record.fields())
+        assert copy is not record and copy == record and hash(copy) == hash(record)
 
 
 def test_sarah_context_signals(sarah_context):

@@ -6,15 +6,18 @@ so no relation needs a hand-written expectation.
 """
 
 import importlib.util
+import json
 import random
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from appraisal_explainer.context import Query, UserProfile, build_unified_context, tokenize
+from appraisal_explainer.explanation import build_plan, realize_template
 from appraisal_explainer.registry import Dimension
 from appraisal_explainer.salience import compute_salience
 from appraisal_explainer.scoring import Candidate, appraisal_vector, rank_candidates
+from appraisal_explainer.serialize import plan_to_dict
 
 _spec = importlib.util.spec_from_file_location("gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
 gen = importlib.util.module_from_spec(_spec)
@@ -139,3 +142,45 @@ def test_changing_case_and_spacing_leaves_the_limit_and_weights(seed, registry, 
     assert _limit_and_salience(profile, respaced, registry, lexicons) == _limit_and_salience(
         profile, text, registry, lexicons
     )
+
+
+def _situation(rng, registry, lexicons):
+    """A generated profile and query's context and salience."""
+    profile = _profile(rng, rng.choice(gen.CONSTRAINT_MIX))
+    query = Query(gen.query(rng, KEYWORDS, SENTIMENT, rng.random() < 0.5))
+    context = build_unified_context(profile, query, registry, lexicons)
+    return context, compute_salience(context, registry)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS)
+def test_shuffling_the_catalog_leaves_the_plan_and_the_appraisal_text(seed, registry, lexicons):
+    rng = random.Random(seed)
+    documents = gen.catalog(rng, CATALOG_SIZE, KEYWORDS, SENTIMENT)
+    context, salience = _situation(rng, registry, lexicons)
+    shuffled = rng.sample(documents, len(documents))
+    explained = []
+    for catalog in (documents, shuffled):  # new records each time, so no kept part is shared
+        ranked = rank_candidates(list(map(Candidate.from_dict, catalog)), context, salience, lexicons=lexicons)
+        if not ranked.entries:
+            explained.append(None)
+            continue
+        plan = build_plan(ranked, salience, context, registry)
+        explained.append((json.dumps(plan_to_dict(plan), indent=2, ensure_ascii=False), realize_template(plan)))
+    assert explained[0] == explained[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS)
+def test_removing_a_candidate_other_than_the_winner_leaves_the_winner(seed, registry, lexicons):
+    rng = random.Random(seed)
+    catalog = _catalog(rng)
+    context, salience = _situation(rng, registry, lexicons)
+
+    def winner(catalog):
+        ranked = rank_candidates(catalog, context, salience, lexicons=lexicons)
+        return ranked.entries[0].candidate_id if ranked.entries else None
+
+    first = winner(catalog)
+    removed = rng.choice([candidate for candidate in catalog if candidate.id != first])
+    assert winner([candidate for candidate in catalog if candidate is not removed]) == first

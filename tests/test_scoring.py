@@ -24,8 +24,10 @@ from appraisal_explainer.registry import Dimension
 from appraisal_explainer.runlog import RunLog
 from appraisal_explainer.salience import SalienceProfile, compute_salience, normalize
 from appraisal_explainer.scoring import (
+    Against,
     AppraisalVector,
     Candidate,
+    Neutral,
     appraisal_vector,
     rank_candidates,
     rank_vectors,
@@ -827,15 +829,24 @@ def test_features_retain_little_memory(lexicons):
     assert retained / len(candidates) <= 1536
 
 
-def test_item_memos_stay_within_their_bound(lexicons):
-    # Distinct tags, tag lists and ingredients, more of each than the bound.
+def test_item_memos_stay_within_their_bound(registry, lexicons):
+    # Distinct tags, tag lists, ingredients, option counts and prep times,
+    # more of each than the bound: every memo in the module misses more often
+    # than it may hold.
+    memos = [value for value in vars(scoring).values() if hasattr(value, "cache_info")]
+    assert len(memos) >= 5
+    for memo in memos:
+        memo.cache_clear()
     overflow = scoring.ITEM_MEMO_SIZE + 10
+    context = _context(registry, lexicons, UserProfile(user_id="u"), "dinner in 20 minutes")
     for index in range(overflow):
-        scoring._candidate_parts(Candidate(
-            id=f"c{index}", name="Dish", tags=(f"tag {index}",), ingredients=(f"ingredient {index}",)
-        ), lexicons)
-    assert scoring._item_parts.cache_info().currsize <= scoring.ITEM_MEMO_SIZE
-    assert scoring._tag_parts.cache_info().currsize <= scoring.ITEM_MEMO_SIZE
+        appraisal_vector(Candidate(
+            id=f"c{index}", name="Dish", prep_time_minutes=index + 1, tags=(f"tag {index}",),
+            ingredients=(f"ingredient {index}",), customization_options=index + 1,
+        ), context, lexicons)
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.misses >= overflow and info.currsize <= scoring.ITEM_MEMO_SIZE, memo.__name__
 
 
 def test_candidates_with_equal_tags_share_their_tag_tuples(lexicons):
@@ -855,9 +866,35 @@ def test_candidates_with_equal_tags_share_their_tag_tuples(lexicons):
     assert first_tokens != second_tokens
 
 
-# The four situational scorers derived afresh for each candidate from the
-# candidate's and profile's own fields, nothing kept per candidate or per
-# context: the results the compiled checks must reproduce.
+# Each dimension's scorer derived afresh for each candidate from the
+# candidate's and profile's own fields, nothing kept per candidate, per
+# context or per catalog: the results, and each evidence string's stance,
+# that the compiled checks and the memos must reproduce.
+def _reference_valence(candidate, context, lexicons):
+    words = tokenize(candidate.description)
+    positive = [word for word in words if word in lexicons.positive]
+    negative = [word for word in words if word in lexicons.negative and word not in lexicons.positive]
+    pos, neg = len(positive), len(negative)
+    score = scoring.VALENCE_MIDPOINT + 0.5 * (pos - neg) / max(1, pos + neg)
+    if not positive and not negative:
+        return score, (Neutral("description sentiment: neutral (no lexicon matches)"),)
+    stance = str if pos > neg else Neutral if pos == neg else Against
+    matched = ", ".join(positive + negative)
+    return score, (stance(f"description sentiment: {pos} positive, {neg} negative ({matched})"),)
+
+
+def _reference_agency(candidate, context, lexicons):
+    hits = sorted(lexicons.dimension_words[Dimension.AGENCY].intersection(_unique_tokens(candidate.tags)))
+    options = candidate.customization_options
+    score = scoring._clamp01(min(1.0, (options + len(hits)) / scoring.AGENCY_SATURATION))
+    evidence = []
+    if options > 0:
+        evidence.append(f"{options} documented customization option" + ("" if options == 1 else "s"))
+    if hits:
+        evidence.append("customization tags matched: " + ", ".join(hits))
+    return score, tuple(evidence)
+
+
 def _reference_urgency(candidate, context, lexicons):
     hits = sorted(lexicons.dimension_words[Dimension.URGENCY].intersection(_terms(candidate)))
     keyword_part = min(1.0, len(hits) / scoring.URGENCY_KEYWORD_SATURATION)
@@ -866,14 +903,14 @@ def _reference_urgency(candidate, context, lexicons):
     prep = candidate.prep_time_minutes
     if limit is None:
         time_fit = 1.0
-        time_evidence = f"no time limit given; prep time {prep} min"
+        time_evidence = Neutral(f"no time limit given; prep time {prep} min")
     else:
         time_fit = scoring._clamp01(1.0 - max(0, prep - limit) / limit)
         available = "1 minute" if limit == 1 else f"{limit} minutes"
         if prep <= limit:
             time_evidence = f"prep time {prep} min is within the {available} available"
         else:
-            time_evidence = f"prep time {prep} min exceeds the {available} available"
+            time_evidence = Against(f"prep time {prep} min exceeds the {available} available")
     score = scoring._clamp01(
         scoring.URGENCY_TIME_WEIGHT * time_fit + scoring.URGENCY_KEYWORD_WEIGHT * keyword_part
     )
@@ -933,24 +970,33 @@ def _reference_normative(candidate, context, lexicons):
     for constraint in constraints:
         ok, detail = _reference_constraint_satisfied(constraint, candidate)
         if not ok:
-            violations.append(f"violates '{constraint}': {detail}")
+            violations.append(Against(f"violates '{constraint}': {detail}"))
     if violations:
         return 0.0, tuple(violations)
     return 1.0, ("satisfies dietary constraints: " + ", ".join(constraints),)
 
 
 REFERENCE_SCORERS = {
+    Dimension.VALENCE: _reference_valence,
+    Dimension.AGENCY: _reference_agency,
     Dimension.URGENCY: _reference_urgency,
     Dimension.GOAL_RELEVANCE: _reference_goal_relevance,
     Dimension.PREDICTABILITY_SURPRISE: _reference_predictability,
     Dimension.NORMATIVE_SIGNIFICANCE: _reference_normative,
 }
 
+SITUATIONAL_DIMENSIONS = (
+    Dimension.URGENCY, Dimension.GOAL_RELEVANCE, Dimension.PREDICTABILITY_SURPRISE,
+    Dimension.NORMATIVE_SIGNIFICANCE,
+)
+
 # Tags and constraints that exercise each rule: a verbatim tag, "no-" and
 # "-free" with and without a banned word, and a banned word that is one
 # token of a hyphenated item ("gluten-free" holds "gluten").
 RULE_WORDS = ["vegetarian", "gluten-free", "no-nuts", "no-", "-free", "no--free", "nuts", "gluten"]
 SITUATIONAL_WORD = st.sampled_from(WORD_POOL + RULE_WORDS)
+# Tags that hold Agency words: one, two, hyphenated, unnormalized, or one that only contains a word.
+AGENCY_TAG = st.sampled_from(["swap", "choose options", "Customize-your-own", " ADJUST ", "controlled"])
 
 
 @st.composite
@@ -963,7 +1009,8 @@ def situational_candidates(draw):
             description=" ".join(draw(st.lists(SITUATIONAL_WORD, max_size=5))),
             prep_time_minutes=draw(st.integers(min_value=1, max_value=240)),
             ingredients=tuple(draw(st.lists(SITUATIONAL_WORD, max_size=4))),
-            tags=tuple(draw(st.lists(SITUATIONAL_WORD, max_size=3))),
+            tags=tuple(draw(st.lists(st.one_of(SITUATIONAL_WORD, AGENCY_TAG), max_size=3))),
+            customization_options=draw(st.integers(min_value=0, max_value=4)),
         )
         for index in range(count)
     ]
@@ -1022,7 +1069,14 @@ def test_compiled_situational_checks_score_like_the_per_candidate_scorers(
     for candidate in candidates:
         for dim, reference in REFERENCE_SCORERS.items():
             vector = appraisal_vector(candidate, context, lexicons)
-            assert (vector.scores[dim], vector.evidence[dim]) == reference(candidate, context, lexicons)
+            assert _exactly(vector.scores[dim], vector.evidence[dim]) == _exactly(
+                *reference(candidate, context, lexicons)
+            )
+
+
+def _exactly(score, evidence):
+    """The score to the bit, and each evidence string with its stance: ``Against("x") == "x"``."""
+    return score.hex(), [(type(fact), fact) for fact in evidence]
 
 
 def test_alternating_contexts_keep_their_own_compiled_checks(registry, lexicons):
@@ -1045,7 +1099,7 @@ def test_alternating_contexts_keep_their_own_compiled_checks(registry, lexicons)
             assert vector == appraisal_vector(candidate, fresh, lexicons)
             seen.setdefault(candidate.id, []).append(vector)
     for first_vector, second_vector, *_ in seen.values():
-        assert all(first_vector.scores[dim] != second_vector.scores[dim] for dim in REFERENCE_SCORERS)
+        assert all(first_vector.scores[dim] != second_vector.scores[dim] for dim in SITUATIONAL_DIMENSIONS)
 
 
 @settings(max_examples=60, deadline=None)

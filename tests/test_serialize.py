@@ -4,7 +4,7 @@ import json
 from hypothesis import example, given, settings, strategies as st
 
 from appraisal_explainer.context import build_unified_context
-from appraisal_explainer.registry import Dimension
+from appraisal_explainer.registry import DIMENSIONS, Dimension
 from appraisal_explainer.salience import compute_salience
 from appraisal_explainer.scoring import (
     Against,
@@ -59,10 +59,32 @@ RANKINGS = st.builds(
 )
 
 
+def _entry(candidate_id, composite, scores, evidence=None):
+    vector = AppraisalVector(candidate_id, dict(zip(DIMENSIONS, scores)), evidence or {})
+    return RankedEntry(candidate_id, composite, vector, Candidate(id=candidate_id, name="n"))
+
+
+def _text(*parts):
+    """Equal text as a new string object each call."""
+    return "".join(parts)
+
+
 @settings(max_examples=100, deadline=None)
 @given(RANKINGS)
 @example(RankedList((), ()))
 @example(RankedList((), (Exclusion("x", "violates 'vegan': not tagged vegan"),)))
+@example(RankedList((  # 0.0 and -0.0 are one dict key but print differently; each comes first once
+    _entry("a", 0.0, (0.0, -0.0, 0.5, -0.0, 0.0, 1.0)),
+    _entry("b", -0.0, (-0.0, 0.0, 0.5, 0.0, -0.0, 1.0)),
+), ()))
+@example(RankedList(tuple(  # equal evidence lists as separate objects, plain and marked
+    _entry(candidate_id, 0.5, (0.5,) * 6, {
+        Dimension.VALENCE: (mark(_text("description sentiment: ", "neutral")),),
+        Dimension.URGENCY: (mark(_text("prep time ", "20 min")), _text("urgency ", "\"keywords\"")),
+        Dimension.AGENCY: (),
+    })
+    for candidate_id, mark in (("a", str), ("b", Neutral), ("c", Against), ("d", str))
+), ()))
 def test_writer_matches_json_dumps_of_the_dict_view(ranked):
     assert _written(ranked) == _oracle(ranked)
 
