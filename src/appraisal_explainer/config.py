@@ -16,10 +16,10 @@ jsonschema = None  # read only by bench/run.py:tracing_patches; delete with ROAD
 FORMAT_JSON = "json"
 FORMAT_TEXT = "text"
 
-# Keys of a config document, under "paths" and at the top level; the CLI
-# flags that override them have the same names.
-PATH_KEYS = ("registry", "lexicons", "profile", "candidates", "prompts")
-SETTING_KEYS = ("scorer", "realizer", "top_k", "fallback", "filter_normative", "format")
+# Keys of a config document, under "paths" and at the top level, in schema
+# order; the CLI flags that override them have the same names.
+PATH_KEYS = tuple(CONFIG_SCHEMA["properties"]["paths"]["properties"])
+SETTING_KEYS = tuple(key for key in CONFIG_SCHEMA["properties"] if key != "paths")
 
 
 class RunConfig(NamedTuple):

@@ -42,10 +42,6 @@ class NothingToExplain(EngineError):
     """Explanation was requested but the ranked list has no entries."""
 
 
-class InvalidPromptRequest(EngineError):
-    """The prompt mode is neither appraisal nor baseline."""
-
-
 class RealizerUnavailable(EngineError):
     """The remote chat realizer could not be reached."""
 

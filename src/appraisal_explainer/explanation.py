@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .context import UnifiedContext, minutes_text
-from .errors import ConfigError, InvalidPromptRequest, NothingToExplain
+from .errors import ConfigError, NothingToExplain
 from .registry import Dimension, Registry
 from .remote import ChatEndpoint, request_chat_completion
 from .runlog import RunLog, utc_timestamp
@@ -204,19 +204,12 @@ def load_prompt_templates(source: str | Path | dict | None = None) -> PromptTemp
 class PromptBundle(NamedTuple):
     """Ordered, labeled prompt sections plus the system instruction."""
 
+    mode: str
     system_instruction: str
     sections: tuple[tuple[str, str], ...]
-    mode: str
 
     def user_message(self) -> str:
         return "\n\n".join(f"{label}:\n{body}" for label, body in self.sections)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "system_instruction": self.system_instruction,
-            "sections": [[label, body] for label, body in self.sections],
-        }
 
 
 def _render_profile(profile) -> str:
@@ -279,46 +272,36 @@ def _render_candidates(candidates) -> str:
 
 
 def build_prompt(
-    mode: str,
+    context: UnifiedContext,
+    candidates: list[Candidate],
     *,
     plan: ExplanationPlan | None = None,
-    context: UnifiedContext | None = None,
-    candidates: list[Candidate] | None = None,
     templates: PromptTemplates | None = None,
 ) -> PromptBundle:
     """Assemble the prompt bundle for one realization.
 
-    Appraisal mode reads ``plan`` and renders five sections (profile, situation,
-    dominant appraisals, recipe details, instruction); baseline mode reads
-    ``context`` and ``candidates`` and renders the same sections minus the
-    appraisal one, with its own instruction. Another mode raises InvalidPromptRequest.
+    The sections are the profile, the situation, the dominant appraisals when
+    a ``plan`` is given, the candidates' details, and the output instruction:
+    the appraisal one with a plan, in appraisal mode, and the baseline one
+    without, in baseline mode.
     """
     templates = templates or load_prompt_templates()
     labels = templates.section_labels
-    if mode == MODE_APPRAISAL:
-        dominant_names = ", ".join(f.display_name for f in plan.dominant)
-        instruction = templates.appraisal_instruction.format(
-            candidate_name=plan.candidate.name, dominant_names=dominant_names
-        )
-        sections = (
-            (labels["profile"], _render_profile(plan.context.profile)),
-            (labels["situation"], _render_situation(plan.context)),
-            (labels["appraisals"], _render_appraisals(plan)),
-            (labels["candidates"], _render_candidates([plan.candidate])),
-            (labels["instruction"], instruction),
-        )
-    elif mode == MODE_BASELINE:
-        sections = (
-            (labels["profile"], _render_profile(context.profile)),
-            (labels["situation"], _render_situation(context)),
-            (labels["candidates"], _render_candidates(candidates)),
-            (labels["instruction"], templates.baseline_instruction),
-        )
+    sections = [
+        (labels["profile"], _render_profile(context.profile)),
+        (labels["situation"], _render_situation(context)),
+    ]
+    if plan is None:
+        instruction = templates.baseline_instruction
     else:
-        raise InvalidPromptRequest(f"unknown prompt mode {mode!r}")
-    return PromptBundle(
-        system_instruction=templates.system_instruction, sections=sections, mode=mode
-    )
+        sections.append((labels["appraisals"], _render_appraisals(plan)))
+        instruction = templates.appraisal_instruction.format(
+            candidate_name=plan.candidate.name,
+            dominant_names=", ".join(f.display_name for f in plan.dominant),
+        )
+    sections += [(labels["candidates"], _render_candidates(candidates)), (labels["instruction"], instruction)]
+    mode = MODE_BASELINE if plan is None else MODE_APPRAISAL
+    return PromptBundle(mode, templates.system_instruction, tuple(sections))
 
 
 def realize_llm(
@@ -337,7 +320,7 @@ def realize_llm(
             mode=bundle.mode,
             realizer="llm",
             response=text,
-            prompt=bundle.to_dict(),
+            prompt=bundle._asdict(),
             started_at=started,
         )
     return text

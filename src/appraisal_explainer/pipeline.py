@@ -76,21 +76,24 @@ def _realize(mode: str, render, data: EngineData, cfg: RunConfig, runlog: RunLog
     """
     bundle = None
     if cfg.realizer != "template":
-        bundle = build_prompt(mode, templates=data.prompts, **prompt_args)
+        bundle = build_prompt(templates=data.prompts, **prompt_args)
         try:
             return realize_llm(bundle, ChatEndpoint.from_env(), runlog=runlog)
         except RealizerUnavailable:
             if not cfg.fallback:
                 raise
     text = render()
-    prompt = None if bundle is None else bundle.to_dict()
+    prompt = None if bundle is None else bundle._asdict()
     runlog.record(mode=mode, realizer="template", response=text, prompt=prompt, fallback=bundle is not None)
     return text
 
 
 def realize_appraisal(plan: ExplanationPlan, data: EngineData, cfg: RunConfig, runlog: RunLog) -> str:
     """Realize the appraisal explanation with the configured realizer."""
-    return _realize(MODE_APPRAISAL, lambda: realize_template(plan), data, cfg, runlog, plan=plan)
+    return _realize(
+        MODE_APPRAISAL, lambda: realize_template(plan), data, cfg, runlog,
+        context=plan.context, candidates=[plan.candidate], plan=plan,
+    )
 
 
 def realize_baseline(

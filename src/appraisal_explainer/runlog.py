@@ -13,24 +13,15 @@ def utc_timestamp() -> str:
 
 
 class RunRecord(NamedTuple):
+    """One realizer call, its fields in the order of a run-log line."""
+
     mode: str
     realizer: str
+    fallback: bool
+    prompt: dict | None
     response: str
-    prompt: dict | None = None
-    fallback: bool = False
-    started_at: str = ""
-    finished_at: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "realizer": self.realizer,
-            "fallback": self.fallback,
-            "prompt": self.prompt,
-            "response": self.response,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
+    started_at: str
+    finished_at: str
 
 
 class RunLog:
@@ -52,9 +43,9 @@ class RunLog:
         entry = RunRecord(
             mode=mode,
             realizer=realizer,
-            response=response,
-            prompt=prompt,
             fallback=fallback,
+            prompt=prompt,
+            response=response,
             started_at=started_at or utc_timestamp(),
             finished_at=utc_timestamp(),
         )
@@ -62,5 +53,5 @@ class RunLog:
         return entry
 
     def write(self, path: str | Path) -> None:
-        lines = [json.dumps(r.to_dict(), ensure_ascii=False) for r in self.records]
+        lines = [json.dumps(r._asdict(), ensure_ascii=False) for r in self.records]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")

@@ -14,6 +14,12 @@ evidence list, keyed by the tuple, and of each composite-and-scores block,
 keyed by its floats' bytes: as dict keys ``0.0`` and ``-0.0`` are one, but
 they print differently. 15,000 ranked entries of a 20,000-candidate catalog
 hold about 11,000 distinct evidence lists of 91,000 and 1,200 score blocks.
+
+The plan and comparison documents are their records' fields as declared: the
+candidate's ``fields()`` and each finding's and mention report's
+``_asdict()``, in constructor order. Their bytes are those of lists and
+plain strings because ``json`` writes a tuple as an array and a ``str``
+subclass (``Dimension``, ``Against``, ``Neutral``) as its text.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from json.encoder import encode_basestring as _quote  # json's string encoder wh
 from operator import itemgetter
 from struct import Struct
 
-from .explanation import ComparisonReport, ExplanationPlan, MentionReport
+from .explanation import ComparisonReport, ExplanationPlan
 from .registry import DIMENSIONS
 from .salience import SalienceProfile
 from .scoring import RankedList
@@ -143,39 +149,15 @@ def write_ranking_json(ranked: RankedList, stream) -> None:
         stream.write(block)
 
 
-def _finding_to_dict(finding) -> dict:
-    return {
-        "dimension": finding.dimension.value,
-        "display_name": finding.display_name,
-        "weight": finding.weight,
-        "score": finding.score,
-        "evidence": list(finding.evidence),
-    }
-
-
 def plan_to_dict(plan: ExplanationPlan) -> dict:
     return {
-        "candidate": {
-            name: list(value) if isinstance(value, tuple) else value
-            for name, value in plan.candidate.fields().items()
-        },
-        "dominant": [_finding_to_dict(f) for f in plan.dominant],
-        "per_dimension": [_finding_to_dict(f) for f in plan.per_dimension],
+        "candidate": plan.candidate.fields(),
+        "dominant": [finding._asdict() for finding in plan.dominant],
+        "per_dimension": [finding._asdict() for finding in plan.per_dimension],
         "context_summary": plan.context_summary,
         "composite": plan.composite,
     }
 
 
-def _mentions_to_dict(report: MentionReport) -> dict:
-    return {
-        "dimensions": list(report.dimensions),
-        "evidence": list(report.evidence),
-        "length": report.length,
-    }
-
-
 def comparison_to_dict(report: ComparisonReport) -> dict:
-    return {
-        "appraisal": _mentions_to_dict(report.appraisal),
-        "baseline": _mentions_to_dict(report.baseline),
-    }
+    return {side: mentions._asdict() for side, mentions in report._asdict().items()}

@@ -3,6 +3,7 @@ import json
 import os
 import pstats
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,17 @@ def test_rank_no_normative_filter_keeps_violator(capsys, fixture_files):
     assert "pepperoni-pizza" in by_id
     assert by_id["pepperoni-pizza"]["scores"]["NormativeSignificance"] == 0.0
     assert payload["excluded"] == []
+
+
+def test_text_rank_lists_each_excluded_candidate_with_its_reason(capsys, fixture_files):
+    profile, query, candidates = fixture_files("alex")
+    argv = ["rank", "--profile", profile, "--query", query, "--candidates", candidates, "--format", "text"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out.endswith("\nexcluded:\n  pepperoni-pizza: violates 'vegetarian': not tagged vegetarian\n")
+    code, out, _ = _run(capsys, [*argv, "--no-normative-filter"])
+    assert code == 0
+    assert "excluded:" not in out
 
 
 def test_rank_empty_candidates_file(capsys, fixture_files, tmp_path):
@@ -344,6 +356,28 @@ def test_plan_summary_names_a_repeated_goal_once(capsys, tmp_path):
     assert code == 0
     plan = json.loads((tmp_path / "out" / "plan.json").read_text("utf-8"))
     assert plan["context_summary"] == "goals: quick; time limit: 20 minutes"
+
+
+# A run log's timestamps, which the run-log goldens hold as "<masked>".
+_TIMESTAMP = re.compile(rb'"(started_at|finished_at)": "[^"]*"')
+
+
+@pytest.mark.parametrize("name", ["sarah", "alex"])
+def test_compare_artifacts_match_goldens(capsys, fixture_files, tmp_path, monkeypatch, name):
+    # With no chat endpoint the llm realizer falls back to the template, and
+    # the run log keeps both prompts it built, the appraisal one and the baseline one.
+    monkeypatch.delenv("APPRAISAL_LLM_URL", raising=False)
+    profile, query, candidates = fixture_files(name)
+    argv = ["explain", "--compare", "--profile", profile, "--query", query, "--candidates", candidates]
+    code, _, err = _run(capsys, [*argv, "--out", str(tmp_path / "template")])
+    assert (code, err) == (0, "")
+    golden = (GOLDEN_DIR / f"{name}_comparison.json").read_bytes()
+    assert (tmp_path / "template" / "comparison.json").read_bytes() == golden
+    code, _, err = _run(capsys, [*argv, "--realizer", "llm", "--fallback", "--out", str(tmp_path / "llm")])
+    assert (code, err) == (0, "")
+    runlog = _TIMESTAMP.sub(rb'"\1": "<masked>"', (tmp_path / "llm" / "runlog.jsonl").read_bytes())
+    assert runlog == (GOLDEN_DIR / f"{name}_runlog.jsonl").read_bytes()
+    assert (tmp_path / "llm" / "comparison.json").read_bytes() == golden
 
 
 def test_explain_compare_structure(capsys, fixture_files):

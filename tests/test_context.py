@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import re
 from collections.abc import Hashable
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from appraisal_explainer.config import RunConfig
 from appraisal_explainer.context import (
     Query,
     UserProfile,
@@ -16,9 +18,24 @@ from appraisal_explainer.context import (
     tokenize,
 )
 from appraisal_explainer.errors import EmptyQuery
+from appraisal_explainer.explanation import (
+    ComparisonReport,
+    DimensionFinding,
+    ExplanationPlan,
+    MentionReport,
+    PromptTemplates,
+)
 from appraisal_explainer.registry import Dimension
+from appraisal_explainer.runlog import RunLog, RunRecord
 from appraisal_explainer.salience import compute_salience
-from appraisal_explainer.schemas import CANDIDATE_SCHEMA, PROFILE_SCHEMA
+from appraisal_explainer.schemas import (
+    CANDIDATE_SCHEMA,
+    COMPARISON_OUTPUT_SCHEMA,
+    CONFIG_SCHEMA,
+    PLAN_OUTPUT_SCHEMA,
+    PROFILE_SCHEMA,
+    PROMPTS_SCHEMA,
+)
 from appraisal_explainer.scoring import Candidate, rank_candidates
 
 
@@ -248,6 +265,37 @@ def test_candidate_schema_names_the_constructor_parameters():
 def test_profile_schema_names_the_constructor_parameters_and_history_queries():
     # ``from_dict`` drops ``history_queries``, which no stage reads, and passes the rest.
     assert list(PROFILE_SCHEMA["properties"]) == [*_parameters(UserProfile), "history_queries"]
+
+
+# The plan and comparison documents are their records' fields, the plan's but its context.
+def test_plan_schema_names_the_plan_and_finding_fields():
+    assert list(PLAN_OUTPUT_SCHEMA["properties"]) == [f for f in ExplanationPlan._fields if f != "context"]
+    for key in ("dominant", "per_dimension"):
+        assert list(PLAN_OUTPUT_SCHEMA["properties"][key]["items"]["properties"]) == list(DimensionFinding._fields)
+
+
+def test_comparison_schema_names_the_report_and_mention_fields():
+    assert list(COMPARISON_OUTPUT_SCHEMA["properties"]) == list(ComparisonReport._fields)
+    for side in ComparisonReport._fields:
+        assert list(COMPARISON_OUTPUT_SCHEMA["properties"][side]["properties"]) == list(MentionReport._fields)
+
+
+def test_prompts_schema_names_the_template_fields():
+    assert list(PROMPTS_SCHEMA["properties"]) == list(PromptTemplates._fields)
+
+
+def test_config_schema_names_the_run_config_fields():
+    paths, *settings = CONFIG_SCHEMA["properties"]
+    assert paths == "paths"
+    path_fields = [f"{key}_path" for key in CONFIG_SCHEMA["properties"]["paths"]["properties"]]
+    assert [*path_fields, *settings, "out_dir"] == list(RunConfig._fields)
+
+
+def test_run_log_line_names_the_record_fields(tmp_path):
+    log = RunLog()
+    log.record(mode="baseline", realizer="template", response="Try soup.")
+    log.write(tmp_path / "runlog.jsonl")
+    assert list(json.loads((tmp_path / "runlog.jsonl").read_text("utf-8"))) == list(RunRecord._fields)
 
 
 def test_from_dict_reads_every_field_and_drops_only_history_queries():

@@ -4,13 +4,14 @@ import pytest
 
 from appraisal_explainer import scoring
 from appraisal_explainer.context import Query, UserProfile, build_unified_context
-from appraisal_explainer.errors import InvalidPromptRequest, NothingToExplain
+from appraisal_explainer.errors import NothingToExplain
 from appraisal_explainer.explanation import (
     MODE_APPRAISAL,
     MODE_BASELINE,
     build_plan,
     build_prompt,
     compare,
+    load_prompt_templates,
     realize_baseline_template,
     realize_template,
     summarize_context,
@@ -134,7 +135,7 @@ def test_weight_labels():
 
 
 def test_appraisal_prompt_has_five_sections(sarah_plan):
-    bundle = build_prompt(MODE_APPRAISAL, plan=sarah_plan)
+    bundle = build_prompt(sarah_plan.context, [sarah_plan.candidate], plan=sarah_plan)
     assert bundle.mode == MODE_APPRAISAL
     assert len(bundle.sections) == 5
     labels = [label for label, _ in bundle.sections]
@@ -145,30 +146,19 @@ def test_appraisal_prompt_has_five_sections(sarah_plan):
 
 
 def test_baseline_prompt_has_no_appraisal_section(sarah_context, sarah):
-    bundle = build_prompt(
-        MODE_BASELINE, context=sarah_context, candidates=list(sarah.candidates)
-    )
+    bundle = build_prompt(sarah_context, list(sarah.candidates))
     assert bundle.mode == MODE_BASELINE
     assert len(bundle.sections) == 4
     labels = [label for label, _ in bundle.sections]
     assert "Dominant appraisals" not in labels
 
 
-def test_prompt_rejects_an_unknown_mode(sarah_plan):
-    with pytest.raises(InvalidPromptRequest):
-        build_prompt("verbose", plan=sarah_plan)
-
-
 def test_prompt_diff_is_exactly_appraisals_and_instruction(sarah_plan):
     # Same context, and the baseline list holds exactly the selected
     # candidate: the two bundles must agree byte-for-byte everywhere except
     # the appraisal section and the output instruction.
-    appraisal = build_prompt(MODE_APPRAISAL, plan=sarah_plan)
-    baseline = build_prompt(
-        MODE_BASELINE,
-        context=sarah_plan.context,
-        candidates=[sarah_plan.candidate],
-    )
+    appraisal = build_prompt(sarah_plan.context, [sarah_plan.candidate], plan=sarah_plan)
+    baseline = build_prompt(sarah_plan.context, [sarah_plan.candidate])
     appraisal_sections = dict(appraisal.sections)
     baseline_sections = dict(baseline.sections)
     assert set(appraisal_sections) - set(baseline_sections) == {"Dominant appraisals"}
@@ -178,6 +168,26 @@ def test_prompt_diff_is_exactly_appraisals_and_instruction(sarah_plan):
         else:
             assert appraisal_sections[label] == baseline_sections[label]
     assert appraisal.system_instruction == baseline.system_instruction
+
+
+def test_a_section_label_override_renames_only_its_section(sarah_plan):
+    renamed = load_prompt_templates({"section_labels": {"profile": "About you"}})
+    for plan in (sarah_plan, None):
+        default = build_prompt(sarah_plan.context, [sarah_plan.candidate], plan=plan)
+        bundle = build_prompt(sarah_plan.context, [sarah_plan.candidate], plan=plan, templates=renamed)
+        assert bundle.sections == (("About you", default.sections[0][1]), *default.sections[1:])
+        assert bundle.user_message().startswith("About you:\nUser: ")
+
+
+def test_situation_section_counts_the_request_sentiment_cues(registry, lexicons):
+    query = Query("something creamy and comforting, not bland, in 20 minutes")
+    context = build_unified_context(UserProfile(user_id="u"), query, registry, lexicons)
+    dish = Candidate(id="a", name="Soup", description="Soup.", prep_time_minutes=10)
+    assert build_prompt(context, [dish]).sections[1] == ("Situational input", "\n".join([
+        f'Request: "{query.text}"',
+        "Detected time limit: 20 minutes",
+        "Request sentiment cues: 2 positive, 1 negative",
+    ]))
 
 
 def test_compare_template_vs_baseline(sarah_plan, sarah):
@@ -222,7 +232,7 @@ def test_an_amount_of_minutes_agrees_with_its_number(minutes, amount, registry, 
     assert evidence == (f"prep time {minutes} min is within the {amount} available",)
     assert summarize_context(context) == f"time limit: {amount}"
     assert realize_baseline_template(context, [dish]).endswith(f"It is ready in about {amount}.")
-    prompt = build_prompt(MODE_BASELINE, context=context, candidates=[dish]).user_message()
+    prompt = build_prompt(context, [dish]).user_message()
     assert f"Detected time limit: {amount}\n" in prompt and f"Prep time: {amount}\n" in prompt
 
 
@@ -232,7 +242,7 @@ def test_prompt_and_premise_name_a_repeated_goal_and_constraint_once(registry, l
     )
     context = build_unified_context(profile, Query("dinner in 20 minutes"), registry, lexicons)
     dish = Candidate(id="a", name="Veg Bowl", description="A bowl.", prep_time_minutes=10)
-    profile_section = build_prompt(MODE_BASELINE, context=context, candidates=[dish]).sections[0][1]
+    profile_section = build_prompt(context, [dish]).sections[0][1]
     assert "\nGoals: quick\n" in profile_section
     assert "\nDietary constraints: vegetarian\n" in profile_section
     assert context.composite_text == "Goals: quick. dinner in 20 minutes"

@@ -15,7 +15,6 @@ from appraisal_explainer.errors import (
     ScorerUnavailable,
 )
 from appraisal_explainer.explanation import (
-    MODE_APPRAISAL,
     build_plan,
     build_prompt,
     realize_llm,
@@ -183,10 +182,20 @@ def _entry(payload, index, **fields):
     return body
 
 
+def _scored_twice(payload):
+    """Every asked dimension scored, and the first scored again."""
+    body = nli_response_for(payload, CANNED)
+    body["scores"].append(body["scores"][0])
+    return body
+
+
 _ODD_ENTAILMENT_REPLIES = {
     "list-dimension": lambda payload: _entry(payload, 0, dimension=["Valence"]),
     "huge-int-score": lambda payload: _entry(payload, 1, entailment=10**400),
     "nested-too-deep": lambda payload: '{"scores": ' + _DEEP + "}",
+    "string-score": lambda payload: _entry(payload, 2, entailment="0.5"),
+    "bool-score": lambda payload: _entry(payload, 3, entailment=True),
+    "dimension-scored-twice": _scored_twice,
 }
 
 
@@ -222,7 +231,7 @@ def sarah_bundle(sarah, sarah_context, registry, lexicons):
         list(sarah.candidates), sarah_context, salience, lexicons=lexicons
     )
     plan = build_plan(ranked, salience, sarah_context, registry)
-    return plan, build_prompt(MODE_APPRAISAL, plan=plan)
+    return plan, build_prompt(plan.context, [plan.candidate], plan=plan)
 
 
 def test_llm_returns_completion_verbatim(sarah_bundle):
@@ -239,7 +248,7 @@ def test_llm_returns_completion_verbatim(sarah_bundle):
     assert sent["temperature"] == 0.0
     record = runlog.records[0]
     assert record.response == canned
-    assert record.prompt["sections"] == [list(s) for s in bundle.sections]
+    assert record.prompt == bundle._asdict()
     assert record.started_at and record.finished_at
 
 
@@ -291,7 +300,8 @@ def test_llm_timeout_falls_back_to_template(sarah_bundle, monkeypatch):
     assert [(r.realizer, r.fallback) for r in runlog.records] == [("template", True)]
 
 
-@pytest.mark.parametrize("content", ["", "  \n", None])
+# A completion that is empty, or whose content is not a string.
+@pytest.mark.parametrize("content", ["", "  \n", None, 42, ["x"]])
 def test_llm_empty_completion_falls_back_to_template(sarah_bundle, monkeypatch, content):
     from appraisal_explainer.config import RunConfig
     from appraisal_explainer.pipeline import load_engine_data, realize_appraisal
