@@ -9,7 +9,7 @@ from typing import NamedTuple
 from .context import UserProfile
 from .errors import ConfigError, DuplicateCandidate
 from .schemas import CANDIDATES_SCHEMA, CONFIG_SCHEMA, PROFILE_SCHEMA, read_json, validate
-from .scoring import Candidate
+from .scoring import Candidate, Catalog
 
 jsonschema = None  # read only by bench/run.py:tracing_patches; delete with ROADMAP item 8's bench change
 
@@ -46,11 +46,12 @@ def load_profile(path: str | Path) -> UserProfile:
     return UserProfile.from_dict(validate(doc, PROFILE_SCHEMA, f"profile file {path}"))
 
 
-def load_candidates(path: str | Path) -> list[Candidate]:
+def load_candidates(path: str | Path) -> Catalog:
     """The candidate set in ``path``, checked against ``CANDIDATES_SCHEMA`` as a whole.
 
     Ids must be unique: the first id seen twice raises ``DuplicateCandidate``.
-    This is the one id check, so ranking does not repeat it per query.
+    This is the one id check, so ranking does not repeat it per query. The
+    ``Catalog`` keeps each diet's split, so a query pays only for appraisal and ranking.
     """
     doc = read_json(path, "candidates", json.loads)
     validate(doc, CANDIDATES_SCHEMA, f"candidates file {path}")
@@ -59,7 +60,7 @@ def load_candidates(path: str | Path) -> list[Candidate]:
         if record["id"] in seen:
             raise DuplicateCandidate(f"duplicate candidate id: {record['id']!r}")
         seen.add(record["id"])
-    return [Candidate.from_dict(record) for record in doc]
+    return Catalog([Candidate.from_dict(record) for record in doc])
 
 
 def resolve_config(doc, flags: dict, out_dir: str | None = None) -> RunConfig:

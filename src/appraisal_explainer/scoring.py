@@ -10,9 +10,8 @@ floats from Python 3.12 on): that can change a composite's last bit, and so a
 ranking's order and bytes, from one supported Python to the next. Exclusion
 is decided before appraisal: with the normative filter on, a candidate whose
 tags and ingredients violate a dietary constraint is never appraised, and an
-admitted candidate carries that verdict into its appraisal, so each
-candidate's diet is checked once per ranking. Candidate ids are checked once,
-where a catalog is loaded (``config.load_candidates``), not per ranking.
+admitted candidate carries that verdict into its appraisal. Candidate ids are
+checked once, where a catalog is loaded (``config.load_candidates``).
 
 Each evidence string carries its stance, decided here and nowhere else: a
 plain ``str`` counts for the candidate; an ``Against`` counts against it (a
@@ -28,25 +27,16 @@ The checks split as in Scherer's component process model:
 - Situational checks read the profile or the query: Urgency's time fit, Goal
   Relevance, Predictability and Normative Significance.
 
-Each side keeps one cache, in a slot its record's ``__init__`` sets to None.
-A candidate's ``_parts`` is filled for its first appraisal with one flat
-tuple: the tokens the situational checks read and the three intrinsic
-results. The tuple is keyed by the identity of the ``Lexicons`` object;
-other lexicons rebuild and replace it. The description's and tags' tokens
-are read while it is built and not kept. A context's first use fills its
-``_situational`` with the compiled checks: the goals' tokens, the familiar
-items, each dietary constraint's rule and violation text, the evidence of a
-satisfied diet, and by prep minutes the time fit and the Urgency of a
-candidate with no urgency keyword. Records are immutable, so neither goes
-stale; the profile itself keeps nothing derived.
+The caches, what keys each, and its bound:
 
-A catalog repeats its tags, ingredients and option counts, so memos keep
-each tag's and ingredient's tokens and lower-cased form by the string, each
-tag list's derived tuples by the list, its Agency hits and evidence by its
-tokens and the Agency words, and the options evidence by the count. These
-and the time-fit memo are ``lru_cache``s bounded by ``ITEM_MEMO_SIZE`` (4,096)
-entries. Kept tokens are interned strings, and every candidate that shares a
-tag list shares its lower-cased tags and its Agency tag evidence.
+- a candidate's ``_parts``: its tokens and intrinsic results, keyed by the lexicons' identity.
+- a context's ``_situational``: its compiled situational checks, one per context.
+- a catalog's ``_splits``: each diet's admitted candidates and exclusions,
+  keyed by ``_Situation.rules``; ``SPLIT_MEMO_SIZE`` diets, oldest dropped first.
+- the ``lru_cache`` memos: keyed by a tag or ingredient, a tag list, an
+  option count, or a time limit and prep time; ``ITEM_MEMO_SIZE`` entries each.
+
+Records are immutable, so no cache goes stale, and no cache changes an output.
 """
 
 from __future__ import annotations
@@ -94,6 +84,8 @@ def _interned(values) -> tuple[str, ...]:
 # The bound of each memo below, not a setting: 20,000 generated candidates have 15
 # distinct tags, 39 distinct ingredients and about 3,300 tag lists, each an Agency memo key.
 ITEM_MEMO_SIZE = 4096
+# The bound of each catalog's kept dietary splits, not a setting: a query stream cycles over 5 diets.
+SPLIT_MEMO_SIZE = 16
 
 
 @lru_cache(maxsize=ITEM_MEMO_SIZE)
@@ -145,6 +137,17 @@ class Candidate(Immutable):
     def from_dict(cls, record: dict) -> "Candidate":
         """The candidate ``record`` holds, which ``CANDIDATE_SCHEMA`` has accepted."""
         return cls(**record)
+
+
+class Catalog(tuple):
+    """An immutable candidate set; ``_split`` keeps each diet's split in its ``_splits`` slot."""
+
+    def __init__(self, candidates):
+        fields = self.__dict__
+        fields["_splits"] = None
+
+    __setattr__ = Immutable.__setattr__
+    __delattr__ = Immutable.__delattr__
 
 
 class AppraisalVector(NamedTuple):
@@ -448,8 +451,36 @@ def rank_vectors(
     return RankedList(entries=tuple(entries), excluded=())
 
 
+def _split(catalog: Catalog, situation: _Situation, lexicons: Lexicons) -> tuple[tuple, tuple]:
+    """The candidates ``catalog`` admits under the situation's diet, and its exclusions in input order.
+
+    Kept in the catalog's ``_splits`` by the rules: everything the verdict reads besides the candidate.
+    """
+    splits = catalog._splits
+    if splits is None:
+        splits = {}
+        object.__setattr__(catalog, "_splits", splits)
+    split = splits.get(situation.rules)
+    if split is None:
+        normative, admitted, excluded = situation.normative, [], []
+        for candidate in catalog:
+            parts = candidate._parts
+            fields = _item_fields(candidate) if parts is None else None
+            score, evidence = normative(fields[1], fields[3]) if fields else normative(parts[3], parts[4])
+            if score == 0.0:
+                excluded.append(_new(Exclusion, (candidate.id, "; ".join(evidence))))
+                continue
+            if fields:  # kept for its appraisal, so the fields are derived once
+                _candidate_parts(candidate, lexicons, fields)
+            admitted.append(candidate)
+        if len(splits) >= SPLIT_MEMO_SIZE:
+            del splits[next(iter(splits))]
+        split = splits[situation.rules] = tuple(admitted), tuple(excluded)
+    return split
+
+
 def rank_candidates(
-    candidates: list[Candidate],
+    candidates: Catalog | list[Candidate],
     context: UnifiedContext,
     salience: SalienceProfile,
     *,
@@ -459,30 +490,19 @@ def rank_candidates(
     """Score and rank a candidate set against the context and salience profile.
 
     With ``filter_normative``, a candidate whose tags and ingredients violate
-    a dietary constraint becomes an ``Exclusion``, in input order, and is
-    never appraised, so its name and description are never tokenized. An
-    admitted candidate is appraised with that verdict, the context's
-    satisfied finding, so its diet is not checked again; with no dietary
-    constraint, no candidate is checked. Ids are not checked here: a catalog
-    is checked for duplicates where it is loaded.
+    a dietary constraint is excluded unappraised, and an admitted one is
+    appraised with the context's satisfied finding. A ``Catalog`` keeps that
+    split per diet; any other sequence is split afresh and keeps nothing. Ids
+    are checked where a catalog is loaded, not here.
     """
     if not candidates:
         raise NoCandidates("candidate set is empty")
-    appraised, excluded, verdict = candidates, [], None
+    appraised, excluded, verdict = candidates, (), None
     if filter_normative:
         situation = _situation(context)
         verdict = situation.satisfied  # an admitted candidate's Normative Significance
         if situation.rules:  # with none, every candidate is admitted
-            normative, appraised = situation.normative, []
-            for candidate in candidates:
-                parts = candidate._parts
-                fields = _item_fields(candidate) if parts is None else None
-                score, evidence = normative(fields[1], fields[3]) if fields else normative(parts[3], parts[4])
-                if score == 0.0:
-                    excluded.append(_new(Exclusion, (candidate.id, "; ".join(evidence))))
-                    continue
-                if fields:  # kept for its appraisal, so the fields are derived once
-                    _candidate_parts(candidate, lexicons, fields)
-                appraised.append(candidate)
+            catalog = candidates if isinstance(candidates, Catalog) else Catalog(candidates)
+            appraised, excluded = _split(catalog, situation, lexicons)
     vectors = [appraisal_vector(candidate, context, lexicons, verdict) for candidate in appraised]
-    return RankedList(rank_vectors(vectors, appraised, salience).entries, tuple(excluded))
+    return RankedList(rank_vectors(vectors, appraised, salience).entries, excluded)

@@ -6,18 +6,22 @@ so no relation needs a hand-written expectation.
 """
 
 import importlib.util
+import io
 import json
 import random
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from appraisal_explainer.config import RunConfig
 from appraisal_explainer.context import Query, UserProfile, build_unified_context, tokenize
 from appraisal_explainer.explanation import build_plan, realize_template
+from appraisal_explainer.pipeline import load_engine_data, run_pipeline
 from appraisal_explainer.registry import Dimension
+from appraisal_explainer.runlog import RunLog
 from appraisal_explainer.salience import compute_salience
-from appraisal_explainer.scoring import Candidate, appraisal_vector, rank_candidates
-from appraisal_explainer.serialize import plan_to_dict
+from appraisal_explainer.scoring import Candidate, Catalog, appraisal_vector, rank_candidates
+from appraisal_explainer.serialize import plan_to_dict, write_ranking_json
 
 _spec = importlib.util.spec_from_file_location("gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
 gen = importlib.util.module_from_spec(_spec)
@@ -184,3 +188,30 @@ def test_removing_a_candidate_other_than_the_winner_leaves_the_winner(seed, regi
     first = winner(catalog)
     removed = rng.choice([candidate for candidate in catalog if candidate.id != first])
     assert winner([candidate for candidate in catalog if candidate is not removed]) == first
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=SEEDS)
+def test_a_catalogs_answers_do_not_depend_on_its_history(seed):
+    # One catalog answers the pairs in order and another in reverse order, so
+    # each answer follows another history of kept splits and parts; a list of
+    # new records keeps nothing between pairs.
+    rng = random.Random(seed)
+    documents = gen.catalog(rng, CATALOG_SIZE, KEYWORDS, SENTIMENT)
+    profiles = [UserProfile.from_dict(doc) for doc in gen.profile_mix(rng, 10, KEYWORDS, SENTIMENT)]
+    queries = [Query(text) for text in gen.query_mix(rng, 4, KEYWORDS, SENTIMENT)]
+    pairs = [(rng.choice(profiles), rng.choice(queries)) for _ in range(8)]
+    cfg = RunConfig()
+    data = load_engine_data(cfg)
+
+    def answer(candidates, profile, query):
+        result = run_pipeline(profile, query, candidates, data, cfg, RunLog(), want_compare=True)
+        ranking = io.StringIO()
+        write_ranking_json(result.ranked, ranking)
+        return ranking.getvalue(), plan_to_dict(result.plan), result.explanation, result.baseline
+
+    fresh = [answer(list(map(Candidate.from_dict, documents)), *pair) for pair in pairs]
+    for order in (range(len(pairs)), reversed(range(len(pairs)))):
+        catalog = Catalog(map(Candidate.from_dict, documents))
+        for index in order:
+            assert answer(catalog, *pairs[index]) == fresh[index]

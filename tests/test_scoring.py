@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from appraisal_explainer import scoring
 from appraisal_explainer.config import RunConfig, load_candidates
-from appraisal_explainer.context import Query, UserProfile, build_unified_context, tokenize
+from appraisal_explainer.context import Query, UserProfile, build_unified_context
 from appraisal_explainer.errors import DuplicateCandidate, NoCandidates
 from appraisal_explainer.explanation import build_plan, realize_template
 from appraisal_explainer.lexicons import load_lexicons
@@ -24,15 +24,15 @@ from appraisal_explainer.registry import Dimension
 from appraisal_explainer.runlog import RunLog
 from appraisal_explainer.salience import SalienceProfile, compute_salience, normalize
 from appraisal_explainer.scoring import (
-    Against,
     AppraisalVector,
     Candidate,
-    Neutral,
+    Catalog,
     appraisal_vector,
     rank_candidates,
     rank_vectors,
 )
 from appraisal_explainer.serialize import write_ranking_json
+from reference import REFERENCE_SCORERS, _reference_tokens, reference_rank
 
 DIMS = list(Dimension)
 
@@ -757,27 +757,6 @@ def test_an_admitted_candidate_is_diet_checked_once(monkeypatch, seed, registry,
                 assert entry.vector == appraisal_vector(entry.candidate, context, lexicons)
 
 
-def _unique_tokens(texts):
-    return tuple(dict.fromkeys(token for text in texts for token in tokenize(text)))
-
-
-def _terms(candidate):
-    return _unique_tokens((candidate.name, candidate.description, *candidate.tags))
-
-
-# Each field tokenized on its own, item by item: the derivation the kept
-# token tuples (terms, items, tags_lower, item_tokens) must reproduce.
-def _reference_tokens(candidate):
-    tags, values = candidate.tags, candidate.tags + candidate.ingredients
-    cleaned = (value.strip().lower() for value in values)
-    return (
-        _terms(candidate),
-        tuple(dict.fromkeys(value for value in cleaned if value)),
-        tuple(dict.fromkeys(tag.strip().lower() for tag in tags)),
-        _unique_tokens(values),
-    )
-
-
 def _kept_tokens(candidate, lexicons):
     return scoring._candidate_parts(candidate, lexicons)[1:5]
 
@@ -865,125 +844,6 @@ def test_candidates_with_equal_tags_share_their_tag_tuples(lexicons):
     assert first_tags is second_tags
     assert first_tokens != second_tokens
 
-
-# Each dimension's scorer derived afresh for each candidate from the
-# candidate's and profile's own fields, nothing kept per candidate, per
-# context or per catalog: the results, and each evidence string's stance,
-# that the compiled checks and the memos must reproduce.
-def _reference_valence(candidate, context, lexicons):
-    words = tokenize(candidate.description)
-    positive = [word for word in words if word in lexicons.positive]
-    negative = [word for word in words if word in lexicons.negative and word not in lexicons.positive]
-    pos, neg = len(positive), len(negative)
-    score = scoring.VALENCE_MIDPOINT + 0.5 * (pos - neg) / max(1, pos + neg)
-    if not positive and not negative:
-        return score, (Neutral("description sentiment: neutral (no lexicon matches)"),)
-    stance = str if pos > neg else Neutral if pos == neg else Against
-    matched = ", ".join(positive + negative)
-    return score, (stance(f"description sentiment: {pos} positive, {neg} negative ({matched})"),)
-
-
-def _reference_agency(candidate, context, lexicons):
-    hits = sorted(lexicons.dimension_words[Dimension.AGENCY].intersection(_unique_tokens(candidate.tags)))
-    options = candidate.customization_options
-    score = scoring._clamp01(min(1.0, (options + len(hits)) / scoring.AGENCY_SATURATION))
-    evidence = []
-    if options > 0:
-        evidence.append(f"{options} documented customization option" + ("" if options == 1 else "s"))
-    if hits:
-        evidence.append("customization tags matched: " + ", ".join(hits))
-    return score, tuple(evidence)
-
-
-def _reference_urgency(candidate, context, lexicons):
-    hits = sorted(lexicons.dimension_words[Dimension.URGENCY].intersection(_terms(candidate)))
-    keyword_part = min(1.0, len(hits) / scoring.URGENCY_KEYWORD_SATURATION)
-    keyword_evidence = "urgency keywords matched: " + ", ".join(hits) if hits else None
-    limit = context.time_constraint_minutes
-    prep = candidate.prep_time_minutes
-    if limit is None:
-        time_fit = 1.0
-        time_evidence = Neutral(f"no time limit given; prep time {prep} min")
-    else:
-        time_fit = scoring._clamp01(1.0 - max(0, prep - limit) / limit)
-        available = "1 minute" if limit == 1 else f"{limit} minutes"
-        if prep <= limit:
-            time_evidence = f"prep time {prep} min is within the {available} available"
-        else:
-            time_evidence = Against(f"prep time {prep} min exceeds the {available} available")
-    score = scoring._clamp01(
-        scoring.URGENCY_TIME_WEIGHT * time_fit + scoring.URGENCY_KEYWORD_WEIGHT * keyword_part
-    )
-    if keyword_evidence is None:
-        return score, (time_evidence,)
-    return score, (time_evidence, keyword_evidence)
-
-
-def _reference_goal_relevance(candidate, context, lexicons):
-    goals = context.profile.goals
-    if not goals:
-        return 0.0, ()
-    terms = _terms(candidate)
-    matched = sorted(
-        goal for goal in goals if tokenize(goal) and all(token in terms for token in tokenize(goal))
-    )
-    score = scoring._clamp01(len(matched) / max(1, len(goals)))
-    if not matched:
-        return score, ()
-    return score, ("matches your goals: " + ", ".join(matched),)
-
-
-def _reference_predictability(candidate, context, lexicons):
-    items = _reference_tokens(candidate)[1]
-    familiar = frozenset(context.profile.familiar_items)
-    shared = sorted(familiar.intersection(items))
-    union = len(items) + len(familiar) - len(shared)
-    if not union:
-        return 0.0, ()
-    score = scoring._clamp01(len(shared) / union)
-    if not shared:
-        return score, ()
-    return score, ("shares familiar items: " + ", ".join(shared),)
-
-
-def _reference_constraint_satisfied(constraint, candidate):
-    _, _, tags_lower, item_tokens = _reference_tokens(candidate)
-    if constraint in tags_lower:
-        return True, ""
-    banned = None
-    if constraint.startswith("no-"):
-        banned = constraint[3:]
-    elif constraint.endswith("-free"):
-        banned = constraint[: -len("-free")]
-    if banned:
-        if banned in item_tokens:
-            return False, f"contains {banned}"
-        return True, ""
-    return False, f"not tagged {constraint}"
-
-
-def _reference_normative(candidate, context, lexicons):
-    constraints = context.profile.dietary_constraints
-    if not constraints:
-        return 1.0, ("no dietary constraints apply",)
-    violations = []
-    for constraint in constraints:
-        ok, detail = _reference_constraint_satisfied(constraint, candidate)
-        if not ok:
-            violations.append(Against(f"violates '{constraint}': {detail}"))
-    if violations:
-        return 0.0, tuple(violations)
-    return 1.0, ("satisfies dietary constraints: " + ", ".join(constraints),)
-
-
-REFERENCE_SCORERS = {
-    Dimension.VALENCE: _reference_valence,
-    Dimension.AGENCY: _reference_agency,
-    Dimension.URGENCY: _reference_urgency,
-    Dimension.GOAL_RELEVANCE: _reference_goal_relevance,
-    Dimension.PREDICTABILITY_SURPRISE: _reference_predictability,
-    Dimension.NORMATIVE_SIGNIFICANCE: _reference_normative,
-}
 
 SITUATIONAL_DIMENSIONS = (
     Dimension.URGENCY, Dimension.GOAL_RELEVANCE, Dimension.PREDICTABILITY_SURPRISE,
@@ -1077,6 +937,131 @@ def test_compiled_situational_checks_score_like_the_per_candidate_scorers(
 def _exactly(score, evidence):
     """The score to the bit, and each evidence string with its stance: ``Against("x") == "x"``."""
     return score.hex(), [(type(fact), fact) for fact in evidence]
+
+
+def _ranking_exactly(entries, exclusions):
+    """Each entry's id, composite and findings to the bit and the stance, in rank order, and the exclusions."""
+    return (
+        [
+            (candidate_id, composite.hex(), [_exactly(scores[dim], evidence[dim]) for dim in DIMS])
+            for candidate_id, composite, scores, evidence in entries
+        ],
+        [tuple(exclusion) for exclusion in exclusions],
+    )
+
+
+# None for the context's own salience, or raw weights whose ties and sums
+# just above 1 reach the tie-break by id and the clamp.
+RAW_WEIGHTS = st.none() | st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6)
+
+
+def _assert_ranks_like_the_reference(candidates, profile, query, raw, filter_normative, registry, lexicons):
+    context = _context(registry, lexicons, profile, query)
+    if raw is None:
+        salience = compute_salience(context, registry)
+    else:
+        weights = normalize(dict(zip(DIMS, raw)))
+        salience = _salience([weights[dim] for dim in DIMS])
+    ranked = rank_candidates(candidates, context, salience, lexicons=lexicons, filter_normative=filter_normative)
+    entries = [(entry.candidate_id, entry.composite, *entry.vector[1:]) for entry in ranked.entries]
+    assert _ranking_exactly(entries, ranked.excluded) == _ranking_exactly(
+        *reference_rank(candidates, context, salience, lexicons, filter_normative)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    candidates=situational_candidates(), profile=situational_profiles(), query=TIMED_QUERIES,
+    raw=RAW_WEIGHTS, filter_normative=st.booleans(),
+)
+def test_a_ranked_list_equals_the_reference(candidates, profile, query, raw, filter_normative, registry, lexicons):
+    _assert_ranks_like_the_reference(candidates, profile, query, raw, filter_normative, registry, lexicons)
+
+
+@st.composite
+def profile_sequences(draw):
+    """1 to 8 (profile, query) pairs whose profiles come from up to 3, so that diets recur."""
+    pool = draw(st.lists(situational_profiles(), min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(st.sampled_from(pool), TIMED_QUERIES), min_size=1, max_size=8))
+
+
+_VEGETARIAN, _NO_NUTS, _GLUTEN_FREE_VEGETARIAN = (
+    UserProfile(user_id="u", dietary_constraints=diet)
+    for diet in (("vegetarian",), ("no-nuts",), ("gluten-free", "vegetarian"))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidates=situational_candidates(), sequence=profile_sequences(), raw=RAW_WEIGHTS)
+@example(  # with two kept splits: the first diet's is reused, then dropped for the third, then split again
+    candidates=[
+        Candidate(id="a", name="Nut stew", tags=("vegetarian",), ingredients=("nuts",)),
+        Candidate(id="b", name="Bread bake", ingredients=("gluten",)),
+        Candidate(id="c", name="Salad", tags=("vegetarian", "gluten-free")),
+    ],
+    sequence=[
+        (_VEGETARIAN, "feed me"), (_NO_NUTS, "in 1 min"), (_VEGETARIAN, "an hour"),
+        (_GLUTEN_FREE_VEGETARIAN, "feed me"), (_VEGETARIAN, "dinner in 20 minutes"),
+    ],
+    raw=None,
+)
+def test_a_catalog_ranks_profile_after_profile_like_the_reference(candidates, sequence, raw, registry, lexicons):
+    catalog = Catalog(candidates)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scoring, "SPLIT_MEMO_SIZE", 2)
+        for profile, query in sequence:
+            _assert_ranks_like_the_reference(catalog, profile, query, raw, True, registry, lexicons)
+            assert len(catalog._splits or ()) <= 2
+
+
+def test_a_catalog_splits_once_per_diet(monkeypatch, tmp_path, registry, lexicons):
+    path = tmp_path / "candidates.json"
+    path.write_text(json.dumps([
+        {"id": "stew", "name": "Nut stew", "prep_time_minutes": 20, "tags": ["vegetarian"], "ingredients": ["nuts"]},
+        {"id": "steak", "name": "Steak", "prep_time_minutes": 20, "ingredients": ["beef", "nuts"]},
+        {"id": "salad", "name": "Salad", "prep_time_minutes": 20, "tags": ["vegetarian"]},
+    ]), "utf-8")
+    catalog = load_candidates(path)
+    assert isinstance(catalog, Catalog) and catalog._splits is None
+    with pytest.raises(AttributeError):
+        catalog._splits = {}
+
+    def excluded(constraints, query="feed me"):
+        profile = UserProfile(user_id="u", goals=("quick",), dietary_constraints=constraints)
+        context = _context(registry, lexicons, profile, query)
+        return rank_candidates(catalog, context, compute_salience(context, registry), lexicons=lexicons).excluded
+
+    first = excluded(("vegetarian", "no-nuts"))
+    calls, check = [], scoring._Situation.normative
+
+    def counted(situation, tags, tokens):
+        calls.append(tags)
+        return check(situation, tags, tokens)
+
+    monkeypatch.setattr(scoring._Situation, "normative", counted)
+    # The same rules from another context: no candidate is checked again.
+    assert excluded(("vegetarian", "no-nuts"), "dinner in 20 minutes") is first
+    assert calls == []
+    # The same constraints in another order are other rules, with their own split and wording.
+    swapped = excluded(("no-nuts", "vegetarian"))
+    assert len(calls) == len(catalog) and len(catalog._splits) == 2
+    assert [tuple(exclusion) for exclusion in first] == [
+        ("stew", "violates 'no-nuts': contains nuts"),
+        ("steak", "violates 'vegetarian': not tagged vegetarian; violates 'no-nuts': contains nuts"),
+    ]
+    assert [tuple(exclusion) for exclusion in swapped] == [
+        ("stew", "violates 'no-nuts': contains nuts"),
+        ("steak", "violates 'no-nuts': contains nuts; violates 'vegetarian': not tagged vegetarian"),
+    ]
+
+
+def test_a_catalog_keeps_the_newest_splits_up_to_its_bound(registry, lexicons):
+    catalog = Catalog([Candidate(id="a", name="Stew", ingredients=("beans",))])
+    diets = [f"no-{word}" for word in WORD_POOL[: scoring.SPLIT_MEMO_SIZE + 3]]
+    for diet in (*diets, diets[-1]):
+        context = _context(registry, lexicons, UserProfile(user_id="u", dietary_constraints=(diet,)), "feed me")
+        rank_candidates(catalog, context, compute_salience(context, registry), lexicons=lexicons)
+    assert [rules[0][0] for rules in catalog._splits] == diets[3:]
 
 
 def test_alternating_contexts_keep_their_own_compiled_checks(registry, lexicons):
